@@ -21,6 +21,11 @@ class PointOutOfDomain(ShortPresError):
     def __init__(self, point, lo, hi):
         super().__init__(f"point {point} outside domain [{lo}, {hi}]")
         self.point = point
+        self.lo = lo
+        self.hi = hi
+
+    def __reduce__(self):
+        return type(self), (self.point, self.lo, self.hi)
 
 
 class OverlappingCycles(ShortPresError):
@@ -29,6 +34,9 @@ class OverlappingCycles(ShortPresError):
     def __init__(self, point):
         super().__init__(f"point {point} appears more than once")
         self.point = point
+
+    def __reduce__(self):
+        return type(self), (self.point,)
 
 
 class UnsupportedDegree(ShortPresError):
@@ -40,6 +48,10 @@ class UnsupportedDegree(ShortPresError):
             msg += f": {why}"
         super().__init__(msg)
         self.degree = n
+        self.why = why
+
+    def __reduce__(self):
+        return type(self), (self.degree, self.why)
 
 
 class BadPrimeClass(ShortPresError):
@@ -60,6 +72,9 @@ class UnboundSymbol(ShortPresError):
     def __init__(self, name):
         super().__init__(f"no image or definition for symbol {name!r}")
         self.name = name
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
 
 class EnumerationTooLarge(ShortPresError):

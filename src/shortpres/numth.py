@@ -10,7 +10,6 @@ satisfy the defining congruences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .errors import BadPrimeClass, InternalInvariantViolation, UnsupportedDegree
@@ -85,7 +84,7 @@ def find_glue_prime(n, kind):
     [6, p+1] (Sym) or [6, p] (Alt)."""
     kind = _norm_kind(kind)
     hi = n - 3 if kind == "Sym" else n - 4
-    lo = math.ceil((n + 2) / 2)
+    lo = (n + 3) // 2  # ceil((n+2)/2) in exact integers
     p = lo + ((11 - lo) % 12)
     while p <= hi:
         if is_prime(p):

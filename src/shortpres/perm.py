@@ -248,20 +248,3 @@ def parse_cycles(text, lo, hi):
         raise DomainMismatch(f"unparseable cycle text {text!r}")
     return Permutation.from_cycles(cycles, lo, hi)
 
-
-def orbit(gens, point):
-    """The orbit of a point under a list of permutations, as a sorted list."""
-    if not gens:
-        return [point]
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)

@@ -3,9 +3,12 @@
 check_relators evaluates every relator of a presentation under its concrete
 generator images and reports cycle types.  certify_order runs a
 deterministic Schreier-Sims construction (no randomization) and returns the
-exact group order as an arbitrary-precision integer; the order is certified
-in the sense that every Schreier generator of the resulting chain has been
-sifted to the identity, which by Schreier's lemma pins the order exactly.
+exact group order as an arbitrary-precision integer.  The order is
+certified by one of two facts: every Schreier generator of the resulting
+chain has been sifted to the identity, which by Schreier's lemma pins the
+order exactly; or the product of the orbit lengths, a lower bound on the
+order, has reached the parity bound n! (or n!/2 when every generator is
+even), an upper bound on it.
 
 falsify_original re-evaluates the uncorrected variants of the constructions
 (wrong special-linear generator signs, wrong conjugating order in the
@@ -31,7 +34,6 @@ from .perm import Permutation
 from .words import ProductPair, conj, evaluate, evaluate_slp, sym
 
 _MAX_POINTS = 64
-_MAX_PAIR_POINTS = 1000
 
 
 @dataclass
@@ -99,99 +101,144 @@ def check_relators(pres):
 
 # ---------------------------------------------------------------------------
 # deterministic Schreier-Sims order certification
+#
+# The chain works on tuples of 0-based images: at 64 points and below every
+# numpy call would be pure overhead.  A product applies its left factor
+# first, as Permutation.__mul__ does: (a*b)[x] = b[a[x]].
 
 
 @dataclass
 class _Level:
     base: int
     gens: list
-    transversal: dict
-    pushed: set
+    transversal: dict  # orbit point -> (u, u^-1) with base^u = point
+    paired: dict  # orbit point -> how many gens its Schreier generators used
+
+
+def _mul(a, b):
+    return tuple(map(b.__getitem__, a))
+
+
+def _inverse(a):
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
 
 
 def _first_moved(g):
-    for x in range(g.lo, g.hi + 1):
-        if g(x) != x:
+    for x, y in enumerate(g):
+        if x != y:
             return x
     raise InternalInvariantViolation("identity has no moved point")
 
 
 def _extend_orbit(lv):
-    """Grow the orbit/transversal of a level in place; existing transversal
-    entries are never replaced, keeping earlier sift paths valid."""
+    """Grow the orbit/transversal of a level in place after a generator was
+    appended; existing transversal entries are never replaced, keeping
+    earlier sift paths and their cached inverses valid."""
     frontier = list(lv.transversal)
+    gens = lv.gens[-1:]  # the orbit is closed under the earlier generators
     while frontier:
         new = []
         for x in frontier:
-            ux = lv.transversal[x]
-            for s in lv.gens:
-                y = s(x)
+            ux = lv.transversal[x][0]
+            for s in gens:
+                y = s[x]
                 if y not in lv.transversal:
-                    lv.transversal[y] = ux * s
+                    uy = _mul(ux, s)
+                    lv.transversal[y] = (uy, _inverse(uy))
                     new.append(y)
         frontier = new
+        gens = lv.gens
 
 
-def certify_order(gens, expected=None):
-    """Exact order of the group generated by permutations, via a stabilizer
-    chain in which every Schreier generator has been checked to sift to the
-    identity.  Deterministic; domain limited to 64 points."""
-    gens = [g for g in gens if not g.is_identity()]
-    if not gens:
-        order = 1
-        if expected is not None and order != expected:
-            raise InternalInvariantViolation(
-                f"certified order {order}, expected {expected}")
-        return order
-    lo, hi = gens[0].lo, gens[0].hi
-    for g in gens:
-        if (g.lo, g.hi) != (lo, hi):
-            raise DomainMismatch("generators act on different point ranges")
-    if hi - lo + 1 > _MAX_POINTS:
-        raise EnumerationTooLarge(
-            f"order certification limited to {_MAX_POINTS} points, "
-            f"got {hi - lo + 1}")
-    ident = gens[0].identity_like()
+def _chain_order(gens, bound):
+    """Order of the group generated by nonidentity 0-based tuples, or
+    `bound` as soon as the orbit lengths multiply up to it."""
+    ident = tuple(range(len(gens[0])))
     levels = []
     seen = set()
     stack = list(reversed(gens))
     while stack:
         g = stack.pop()
-        if g in seen or g.is_identity():
+        if g in seen or g == ident:
             continue
         seen.add(g)
         h = g
         place = None
         for i, lv in enumerate(levels):
-            x = h(lv.base)
+            x = h[lv.base]
+            if x == lv.base:  # the transversal entry is the identity
+                continue
             if x not in lv.transversal:
                 place = i
                 break
-            h = h * lv.transversal[x].inverse()
+            h = _mul(h, lv.transversal[x][1])
         else:
-            if h.is_identity():
+            if h == ident:
                 continue
             place = len(levels)
             moved = _first_moved(h)
-            levels.append(_Level(moved, [], {moved: ident}, set()))
+            levels.append(_Level(moved, [], {moved: (ident, ident)}, {}))
         # h stabilizes the base points of every level before `place`, so it
         # is a strong generator at each of these levels as well
         for j in range(place + 1):
             lv = levels[j]
             lv.gens.append(h)
             _extend_orbit(lv)
+        # level i's generators fix the base points of levels 0..i-1, so its
+        # orbit lies in an orbit of that point stabilizer and the product
+        # of orbit lengths never exceeds the group order
+        if math.prod(len(lv.transversal) for lv in levels) == bound:
+            return bound
         for j in range(place + 1):
             lv = levels[j]
             for x in sorted(lv.transversal):
-                ux = lv.transversal[x]
-                for idx, s in enumerate(lv.gens):
-                    if (x, idx) in lv.pushed:
-                        continue
-                    lv.pushed.add((x, idx))
-                    sg = ux * s * lv.transversal[s(x)].inverse()
-                    if not sg.is_identity() and sg not in seen:
+                ux = lv.transversal[x][0]
+                for s in lv.gens[lv.paired.get(x, 0):]:
+                    inv = lv.transversal[s[x]][1]
+                    sg = tuple(map(inv.__getitem__, map(s.__getitem__, ux)))
+                    if sg != ident and sg not in seen:
                         stack.append(sg)
-    order = math.prod(len(lv.transversal) for lv in levels)
+                lv.paired[x] = len(lv.gens)
+    return math.prod(len(lv.transversal) for lv in levels)
+
+
+def certify_order(gens, expected=None):
+    """Exact order of the group generated by permutations.  Deterministic;
+    domain limited to 64 points.
+
+    The order is certified in one of two ways.  Either every Schreier
+    generator of the stabilizer chain has been sifted to the identity, which
+    by Schreier's lemma pins the order to the product of the orbit lengths;
+    or that product has reached the parity bound: n! in general, n!/2 when
+    every generator is even.  The product never exceeds the group order and
+    the group order never exceeds the bound, so equality proves both.
+    """
+    for g in gens:
+        if not isinstance(g, Permutation):
+            raise DomainMismatch(
+                f"order certification needs permutations, got "
+                f"{type(g).__name__}")
+    gens = [g for g in gens if not g.is_identity()]
+    if gens:
+        lo, hi = gens[0].lo, gens[0].hi
+        for g in gens:
+            if (g.lo, g.hi) != (lo, hi):
+                raise DomainMismatch("generators act on different point ranges")
+        n = hi - lo + 1
+        if n > _MAX_POINTS:
+            raise EnumerationTooLarge(
+                f"order certification limited to {_MAX_POINTS} points, "
+                f"got {n}")
+        bound = math.factorial(n)
+        if not any(g.epsilon() for g in gens):
+            bound //= 2
+        order = _chain_order(
+            [tuple((g.images - lo).tolist()) for g in gens], bound)
+    else:
+        order = 1
     if expected is not None and order != expected:
         raise InternalInvariantViolation(
             f"certified order {order}, expected {expected}")
@@ -227,44 +274,6 @@ def verify_presentation(pres, depth="relators"):
             report.details["order_matches"] = order == expected
             report.millis += int((time.perf_counter() - t0) * 1000)
     return report
-
-
-# ---------------------------------------------------------------------------
-# 2-homogeneity
-
-
-def check_2homog(gens):
-    """Classify the pair action: '2Transitive', '2HomogOnly' or 'Not2Homog'."""
-    if not gens:
-        raise InternalInvariantViolation("need at least one permutation")
-    lo, hi = gens[0].lo, gens[0].hi
-    for g in gens:
-        if (g.lo, g.hi) != (lo, hi):
-            raise DomainMismatch("generators act on different point ranges")
-    n = hi - lo + 1
-    if n > _MAX_PAIR_POINTS:
-        raise EnumerationTooLarge(
-            f"pair-orbit check limited to {_MAX_PAIR_POINTS} points, got {n}")
-    if n < 2:
-        return "Not2Homog"
-    start = (lo, lo + 1)
-    ordered = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x, y in frontier:
-            for g in gens:
-                pair = (g(x), g(y))
-                if pair not in ordered:
-                    ordered.add(pair)
-                    new.append(pair)
-        frontier = new
-    if len(ordered) == n * (n - 1):
-        return "2Transitive"
-    unordered = {tuple(sorted(pair)) for pair in ordered}
-    if len(unordered) == n * (n - 1) // 2:
-        return "2HomogOnly"
-    return "Not2Homog"
 
 
 # ---------------------------------------------------------------------------

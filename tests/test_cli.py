@@ -97,6 +97,16 @@ class TestVerify:
         assert code == 0
         assert parallel == serial
 
+    def test_worker_errors_match_serial(self, capsys):
+        # degree 21 is uncovered; the error crosses the process boundary
+        argv = ("verify", "-n", "20..21", "--kind", "alt")
+        code, _, serial = run(capsys, *argv, "--jobs", "1")
+        assert code == 2
+        code, _, parallel = run(capsys, *argv, "--jobs", "2")
+        assert code == 2
+        assert parallel == serial
+        assert serial.count("not covered") == 1
+
     def test_out_writes_json_reports(self, capsys, tmp_path):
         target = tmp_path / "reports.json"
         code, _, _ = run(capsys, "verify", "-n", "13..14", "--kind", "alt",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from shortpres.builders import params_for
 from shortpres.errors import (
     BadPrimeClass,
     InternalInvariantViolation,
@@ -79,6 +80,22 @@ class TestGluePrime:
                 k = 2 * p + 4 - n
                 assert 6 <= k <= p + k_hi_off
                 assert p % 12 == 11 and is_prime(p)
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    @pytest.mark.parametrize("n,want", [
+        (547941574903438726, 273970787451719543),
+        (8075780279211968901, 4037890139605984463),
+    ])
+    def test_window_above_float_precision(self, kind, n, want):
+        # above 2^53, (n + 2) / 2 in floating point rounds below the window
+        p = find_glue_prime(n, kind)
+        assert p == want
+        assert p % 12 == 11 and 2 * p >= n + 2
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    def test_params_above_float_precision_validate(self, kind):
+        ps = validate_params(params_for(547941574903438726, kind))
+        assert ps.k == 364
 
 
 class TestDeriveParams:

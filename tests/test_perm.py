@@ -13,7 +13,7 @@ from shortpres.errors import (
     OverlappingCycles,
     PointOutOfDomain,
 )
-from shortpres.perm import Cycle, Permutation, orbit, parse_cycles
+from shortpres.perm import Cycle, Permutation, parse_cycles
 
 
 def P(text, lo=1, hi=None):
@@ -115,13 +115,6 @@ class TestStructure:
 
     def test_hash_consistent(self):
         assert len({P("(1,2)"), P("(1,2)"), P("(2,1)")}) == 1
-
-
-class TestOrbit:
-    def test_orbit(self):
-        gens = [P("(1,2)"), P("(2,3)")]
-        assert orbit(gens, 1) == [1, 2, 3]
-        assert orbit(gens, 4) == [4]
 
 
 @settings(max_examples=60)

@@ -1,4 +1,4 @@
-"""Order certification, relator reports, pair-orbit classes, falsification.
+"""Order certification, relator reports, falsification.
 
 certify_order expectations are independent oracles (factorials and small
 hand-counted subgroup orders), never values read back from the function.
@@ -7,7 +7,10 @@ hand-counted subgroup orders), never values read back from the function.
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from shortpres import verify
 from shortpres.builders import (
     agl_examples,
     alt_p3,
@@ -28,7 +31,6 @@ from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import (
     FALSIFICATION_TARGETS,
     certify_order,
-    check_2homog,
     check_relators,
     expected_symmetry_order,
     falsify_original,
@@ -38,6 +40,28 @@ from shortpres.verify import (
 
 def P(text, lo, hi):
     return parse_cycles(text, lo, hi)
+
+
+def _cycle(first, last):
+    return "(" + ",".join(map(str, range(first, last + 1))) + ")"
+
+
+def _closure_size(images):
+    """Elements of the group generated by 0-based image tuples, by
+    breadth-first search over products."""
+    ident = tuple(range(len(images[0])))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in images:
+                h = tuple(s[x] for x in g)
+                if h not in seen:
+                    seen.add(h)
+                    new.append(h)
+        frontier = new
+    return len(seen)
 
 
 class TestCertifyOrder:
@@ -86,6 +110,70 @@ class TestCertifyOrder:
             certify_order([Permutation.from_cycles([(1, 2)], 1, 65)])
         with pytest.raises(DomainMismatch):
             certify_order([P("(1,2)", 1, 4), P("(1,2)", 1, 5)])
+
+    def test_permutation_pairs_are_refused(self):
+        pres = base_p2_hat(11, "Alt")
+        with pytest.raises(DomainMismatch):
+            certify_order([pres.images[t] for t in pres.slp.generators])
+
+    def test_mathieu_group_m12(self):
+        gens = [P(_cycle(1, 11), 1, 12), P("(3,7,11,8)(4,10,5,6)", 1, 12),
+                P("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 1, 12)]
+        assert certify_order(gens) == 95040
+
+    def test_mathieu_group_m24(self):
+        gens = [
+            P(_cycle(1, 23), 1, 24),
+            P("(3,17,10,7,9)(4,13,14,19,5)(8,18,11,12,23)(15,20,22,21,16)",
+              1, 24),
+            P("(1,24)(2,23)(3,12)(4,16)(5,18)(6,10)(7,20)(8,14)(9,21)"
+              "(11,17)(13,22)(15,19)", 1, 24),
+        ]
+        assert certify_order(gens) == 244823040
+
+    @pytest.mark.parametrize("first,long_cycle,n,order", [
+        ("(1,2)", (1, 30), 30, math.factorial(30)),
+        # a 3-cycle and a 31-cycle are both even
+        ("(1,2,3)", (1, 31), 31, math.factorial(31) // 2),
+        # a 3-cycle and a 39-cycle fixing point 1 are both even
+        ("(1,2,3)", (2, 40), 40, math.factorial(40) // 2),
+    ])
+    def test_full_symmetric_and_all_even_alternating(self, first, long_cycle,
+                                                     n, order):
+        gens = [P(first, 1, n), P(_cycle(*long_cycle), 1, n)]
+        assert certify_order(gens) == order
+
+    @pytest.mark.parametrize("gens,order", [
+        ([P("(1,2)", 1, 12), P(_cycle(1, 12), 1, 12)], math.factorial(12)),
+        ([P("(1,2,3)", 1, 13), P(_cycle(1, 13), 1, 13)],
+         math.factorial(13) // 2),
+    ])
+    def test_parity_bound_stops_the_sift_early(self, monkeypatch, gens,
+                                               order):
+        products = []
+        real_mul = verify._mul
+
+        def counting_mul(a, b):
+            products.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(verify, "_mul", counting_mul)
+        assert certify_order(gens) == order
+        stopped = len(products)
+        products.clear()
+        tuples = [tuple((g.images - 1).tolist()) for g in gens]
+        assert verify._chain_order(tuples, 0) == order  # bound 0: full sift
+        assert stopped < len(products)
+
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.permutations(range(n)), min_size=1, max_size=3))))
+    def test_matches_brute_force_closure(self, case):
+        lo, images = case
+        gens = [Permutation([x + lo for x in im], lo) for im in images]
+        assert certify_order(gens) == _closure_size(images)
 
 
 class TestCheckRelators:
@@ -158,34 +246,6 @@ class TestVerifyPresentation:
         assert expected_symmetry_order(presentation_for(14, "Sym")) == math.factorial(14)
         assert expected_symmetry_order(alt_p3(11)) == math.factorial(14) // 2
         assert expected_symmetry_order(base_p2_hat(11, "Alt")) is None
-
-
-class TestPairOrbits:
-    def test_affine_group_is_2transitive(self):
-        from shortpres.builders import _a_image, _mul_image
-
-        gens = [_a_image(11, 1, 11), _mul_image(2, 11, 1, 11)]
-        assert check_2homog(gens) == "2Transitive"
-
-    def test_square_multipliers_are_2homog_only(self):
-        from shortpres.builders import _a_image, _mul_image
-
-        gens = [_a_image(11, 1, 11), _mul_image(3, 11, 1, 11)]
-        assert check_2homog(gens) == "2HomogOnly"
-
-    def test_translations_are_not_2homog(self):
-        from shortpres.builders import _a_image
-
-        assert check_2homog([_a_image(11, 1, 11)]) == "Not2Homog"
-
-    def test_guards(self):
-        with pytest.raises(InternalInvariantViolation):
-            check_2homog([])
-        with pytest.raises(EnumerationTooLarge):
-            check_2homog([Permutation.identity(1, 1001)])
-        with pytest.raises(DomainMismatch):
-            check_2homog([Permutation.identity(1, 4), Permutation.identity(1, 5)])
-        assert check_2homog([Permutation.identity(1, 1)]) == "Not2Homog"
 
 
 class TestFalsification:
