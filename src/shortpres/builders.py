@@ -35,6 +35,7 @@ from . import numth, sl2, words
 from .errors import (
     BadPrimeClass,
     InternalInvariantViolation,
+    PointOutOfDomain,
     UnsupportedDegree,
 )
 from .numth import ParamSet, derive_params, find_glue_prime, validate_params
@@ -162,26 +163,48 @@ def _red_mod(e, m, simplify):
     return words.least_absolute(e, m) if simplify else e
 
 
-def _mul_image(factor, p, lo, hi):
-    """x -> factor*x on the embedded F_p (reps 1..p), fixing everything else."""
-    arr = np.arange(lo, hi + 1, dtype=np.int64)
-    reps = np.arange(1, p + 1, dtype=np.int64)
+def _field_points(p, lo, hi):
+    """The identity images of [lo, hi] and the embedded field points 1..p."""
+    if lo > 1 or hi < p:
+        raise PointOutOfDomain(1 if lo > 1 else p, lo, hi)
+    return np.arange(lo, hi + 1, dtype=np.int64), np.arange(1, p + 1, dtype=np.int64)
+
+
+def _mul_points(factor, p, lo, hi):
+    """Images of x -> factor*x on the embedded F_p (reps 1..p)."""
+    arr, reps = _field_points(p, lo, hi)
     vals = (factor * reps) % p
     vals[vals == 0] = p
-    arr[reps - lo] = vals
-    return Permutation(arr, lo)
+    arr[1 - lo:p + 1 - lo] = vals
+    return arr
+
+
+def _mul_image(factor, p, lo, hi):
+    """x -> factor*x on the embedded F_p (reps 1..p), fixing everything else."""
+    return Permutation(_mul_points(factor, p, lo, hi), lo)
 
 
 def _a_image(p, lo, hi):
-    """(1,2,...,p) inside [lo, hi]."""
-    return Permutation.from_cycles([tuple(range(1, p + 1))], lo, hi)
+    """(1,2,...,p) inside [lo, hi]: the shift x -> x+1 on the embedded F_p."""
+    arr, reps = _field_points(p, lo, hi)
+    arr[1 - lo:p + 1 - lo] = reps % p + 1
+    return Permutation(arr, lo)
 
 
 def _g_image(ps, lo, hi):
-    """alpha-multiplication times (p, p+1, p+2)^kappa."""
+    """alpha-multiplication times (p, p+1, p+2)^kappa.
+
+    The multiplication fixes p, p+1 and p+2, so the product is the
+    multiplication with the 3-cycle's power (p,p+1,p+2)^(kappa mod 3)
+    written over those three points.
+    """
     p = ps.p
-    zc = Permutation.from_cycles([(p, p + 1, p + 2)], lo, hi) ** ps.kappa
-    return _mul_image(ps.alpha, p, lo, hi) * zc
+    if hi < p + 2:
+        raise PointOutOfDomain(p + 2, lo, hi)
+    arr = _mul_points(ps.alpha, p, lo, hi)
+    shift = ps.kappa % 3
+    arr[p - lo:p + 3 - lo] = p + (np.arange(3) + shift) % 3
+    return Permutation(arr, lo)
 
 
 def _base_relators(a, b, z, ps, simplify):
@@ -532,18 +555,25 @@ def _telescope_defs(k, dw, za, y):
 
 def glue_map_image(p, k, kind, lo=None, hi=None):
     """The image of y: pairs (k-p-1+t, p+2-t); for Alt with n even the first
-    two pairs close up into a 4-cycle to keep the permutation even."""
+    two pairs close up into a 4-cycle to keep the permutation even.
+
+    The pairs are the reflection of [k-p-1, 0] onto [k+1, p+2], fixing 1..k.
+    """
+    left, right = k - p - 1, p + 2
     if lo is None:
-        lo, hi = k - p - 1, p + 2
-    n_even = (2 * p + 4 - k) % 2 == 0
-    cycles = []
-    start = 0
-    if kind == "Alt" and n_even:
-        cycles.append((k - p - 1, p + 2, k - p, p + 1))
-        start = 2
-    for tt in range(start, p - k + 2):
-        cycles.append((k - p - 1 + tt, p + 2 - tt))
-    return Permutation.from_cycles(cycles, lo, hi)
+        lo, hi = left, right
+    for x in (left, right):
+        if not lo <= x <= hi:
+            raise PointOutOfDomain(x, lo, hi)
+    arr = np.arange(lo, hi + 1, dtype=np.int64)
+    t = np.arange(p - k + 2, dtype=np.int64)
+    arr[left + t - lo] = right - t
+    arr[right - t - lo] = left + t
+    if kind == "Alt" and (2 * p + 4 - k) % 2 == 0:
+        # the 4-cycle (k-p-1, p+2, k-p, p+1)
+        arr[[left - lo, right - lo, left + 1 - lo, right - 1 - lo]] = (
+            right, left + 1, right - 1, left)
+    return Permutation(arr, lo)
 
 
 # ---------------------------------------------------------------------------

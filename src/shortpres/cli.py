@@ -8,8 +8,12 @@ Subcommands:
   params    print the derived arithmetic parameters
 
 Degrees are given as a single value (17), a range (13..20), or a
-comma-separated mix (13,15..17).  Exit codes: 0 success, 1 verification
-failure, 2 unsupported degree or size limit, 3 bad arguments.
+comma-separated mix (13,15..17).  A batch handles each degree on its own:
+a degree that is not covered (or too large to check) gets its error line
+on stderr and the others still print.  Exit codes: 0 success, 1
+verification failure, 2 unsupported degree or size limit, 3 bad
+arguments; a batch exits with 1 if any degree failed, else 2 if any was
+refused.
 """
 
 from __future__ import annotations
@@ -121,19 +125,61 @@ def _requests(args):
     return [(n, kind) for n in degrees for kind in _kinds(args.kind)]
 
 
+# A request that raises one of these is reported on stderr and skipped; the
+# rest of the batch goes on.
+_REQUEST_ERRORS = (UnsupportedDegree, DegreeTooLarge, EnumerationTooLarge)
+
+
+class _Batch:
+    """Runs one function per request, in request order, and keeps the worst
+    outcome: exit 1 if any request failed, else 2 if any was refused."""
+
+    def __init__(self):
+        self.failed = False
+        self.refused = False
+
+    def run(self, fn, tasks, jobs=1):
+        """Yield fn(task) for each task it can handle; print the error of
+        each one it cannot."""
+        if jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
+                futures = [pool.submit(fn, t) for t in tasks]
+                for fut in futures:
+                    yield from self._outcome(fut.result)
+        else:
+            for t in tasks:
+                yield from self._outcome(fn, t)
+
+    def _outcome(self, call, *args):
+        try:
+            result = call(*args)
+        except _REQUEST_ERRORS as exc:
+            print(f"shortpres: {exc}", file=sys.stderr)
+            self.refused = True
+        else:
+            yield result
+
+    def exit_code(self):
+        if self.failed:
+            return _EXIT_VERIFY
+        return _EXIT_UNSUPPORTED if self.refused else _EXIT_OK
+
+
 def _cmd_emit(args):
-    blocks = []
     fmt = args.format
     reqs = _requests(args)
-    for n, kind in reqs:
-        pres = builders.presentation_for(n, kind, simplify=args.simplify)
+
+    def emit_one(req):
+        pres = builders.presentation_for(*req, simplify=args.simplify)
         if fmt == "json" and len(reqs) > 1:
-            blocks.append(json.dumps(builders.presentation_json(pres),
-                                     sort_keys=False) + "\n")
-        else:
-            blocks.append(builders.emit(pres, fmt))
+            return json.dumps(builders.presentation_json(pres),
+                              sort_keys=False) + "\n"
+        return builders.emit(pres, fmt)
+
+    batch = _Batch()
+    blocks = list(batch.run(emit_one, reqs))
     _write(args.out, "\n".join(blocks) if fmt == "slp" else "".join(blocks))
-    return _EXIT_OK
+    return batch.exit_code()
 
 
 def _verify_one(task):
@@ -152,37 +198,39 @@ def _verify_one(task):
 
 def _cmd_verify(args):
     tasks = [(n, kind, args.depth, args.simplify) for n, kind in _requests(args)]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            results = list(pool.map(_verify_one, tasks))
-    else:
-        results = [_verify_one(t) for t in tasks]
-    all_ok = True
-    for line, ok, _ in results:
+    batch = _Batch()
+    reports = []
+    for line, ok, rep in batch.run(_verify_one, tasks, args.jobs):
         print(line)
-        all_ok = all_ok and ok
+        batch.failed = batch.failed or not ok
+        reports.append(rep)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([rep for _, _, rep in results], fh, indent=2)
+            json.dump(reports, fh, indent=2)
             fh.write("\n")
-    return _EXIT_OK if all_ok else _EXIT_VERIFY
+    return batch.exit_code()
+
+
+def _stats_row(req, simplify):
+    n, kind = req
+    pres = builders.presentation_for(n, kind, simplify=simplify)
+    ps = pres.params
+    bits = pres.slp.bit_length()
+    return ",".join(str(v) for v in (
+        n, ps.p, ps.k if ps.k is not None else "",
+        f"{pres.kind}:{pres.case}",
+        len(pres.slp.generators), len(pres.slp.relators),
+        bits, pres.slp.word_length(),
+        f"{bits / math.log2(n):.3f}"))
 
 
 def _cmd_stats(args):
     rows = ["degree,p,k,case,generators,relators,bit_length,word_length,"
             "bits_per_log2_degree"]
-    for n, kind in _requests(args):
-        pres = builders.presentation_for(n, kind, simplify=args.simplify)
-        ps = pres.params
-        bits = pres.slp.bit_length()
-        rows.append(",".join(str(v) for v in (
-            n, ps.p, ps.k if ps.k is not None else "",
-            f"{pres.kind}:{pres.case}",
-            len(pres.slp.generators), len(pres.slp.relators),
-            bits, pres.slp.word_length(),
-            f"{bits / math.log2(n):.3f}")))
+    batch = _Batch()
+    rows += batch.run(lambda req: _stats_row(req, args.simplify), _requests(args))
     _write(args.out, "\n".join(rows) + "\n")
-    return _EXIT_OK
+    return batch.exit_code()
 
 
 def _cmd_falsify(args):
@@ -220,10 +268,10 @@ def _cmd_falsify(args):
 
 
 def _cmd_params(args):
-    for n, kind in _requests(args):
-        ps = builders.params_for(n, kind)
+    batch = _Batch()
+    for ps in batch.run(lambda req: builders.params_for(*req), _requests(args)):
         print(json.dumps(ps.to_json()))
-    return _EXIT_OK
+    return batch.exit_code()
 
 
 def main(argv=None):

@@ -5,9 +5,12 @@ Products apply the LEFT factor first: x^(s*t) = (x^s)^t, so
 (1,2)*(2,3) = (1,3,2).  Conjugation is s^g = g^-1*s*g, which relabels
 cycles: (x1,...,xk)^g = (x1^g,...,xk^g).
 
-Images are stored as a read-only numpy int64 array indexed by point - lo;
-all the group operations are fancy-indexing on that array, so they stay
-cheap up to degrees in the millions.
+A Permutation stores `images`, a read-only numpy int64 array of 0-based
+offsets: images[i] = (lo + i)^perm - lo.  The group operations index
+these offsets directly (a product is one gather, an inverse one scatter),
+with no shift back and forth, so they stay cheap up to degrees in the
+millions.  Absolute points appear only at the edges: the constructor,
+__call__, cycles, support and __str__.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class Permutation:
     __slots__ = ("images", "lo")
 
     def __init__(self, images, lo=1):
+        """Wrap the absolute images of the points lo, lo+1, ...; they must
+        be a bijection of [lo, lo + len(images) - 1]."""
         arr = np.asarray(images, dtype=np.int64)
         if arr.ndim != 1:
             raise DomainMismatch("images must be a flat sequence")
@@ -67,17 +72,16 @@ class Permutation:
             or not (np.bincount(shifted, minlength=arr.size) == 1).all()
         ):
             raise DomainMismatch(f"images are not a bijection of [{lo}, {hi}]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.images = arr
+        shifted.flags.writeable = False
+        self.images = shifted
         self.lo = lo
 
     @classmethod
-    def _trusted(cls, arr, lo):
-        """Internal: wrap an array already known to be a bijection."""
+    def _trusted(cls, offsets, lo):
+        """Internal: wrap 0-based offsets already known to be a bijection."""
         self = object.__new__(cls)
-        arr.flags.writeable = False
-        self.images = arr
+        offsets.flags.writeable = False
+        self.images = offsets
         self.lo = lo
         return self
 
@@ -93,7 +97,7 @@ class Permutation:
     def identity(cls, lo, hi):
         if hi < lo:
             raise DomainMismatch(f"empty domain [{lo}, {hi}]")
-        return cls._trusted(np.arange(lo, hi + 1, dtype=np.int64), lo)
+        return cls._trusted(np.arange(hi - lo + 1, dtype=np.int64), lo)
 
     @classmethod
     def from_cycles(cls, cycles, lo, hi):
@@ -103,7 +107,7 @@ class Permutation:
         twice (within or across cycles) raises OverlappingCycles; a point
         outside [lo, hi] raises PointOutOfDomain.
         """
-        arr = np.arange(lo, hi + 1, dtype=np.int64)
+        arr = np.arange(hi - lo + 1, dtype=np.int64)
         seen = set()
         for cyc in cycles:
             pts = list(cyc.points if isinstance(cyc, Cycle) else cyc)
@@ -114,7 +118,7 @@ class Permutation:
                     raise OverlappingCycles(x)
                 seen.add(x)
             for i, x in enumerate(pts):
-                arr[x - lo] = pts[(i + 1) % len(pts)]
+                arr[x - lo] = pts[(i + 1) % len(pts)] - lo
         return cls._trusted(arr, lo)
 
     def _check_domain(self, other):
@@ -126,11 +130,11 @@ class Permutation:
     def __mul__(self, other):
         """self*other applies self first: x^(self*other) = (x^self)^other."""
         self._check_domain(other)
-        return Permutation._trusted(other.images[self.images - self.lo], self.lo)
+        return Permutation._trusted(other.images[self.images], self.lo)
 
     def inverse(self):
         arr = np.empty_like(self.images)
-        arr[self.images - self.lo] = np.arange(self.lo, self.hi + 1, dtype=np.int64)
+        arr[self.images] = np.arange(self.images.size, dtype=np.int64)
         return Permutation._trusted(arr, self.lo)
 
     def __invert__(self):
@@ -155,13 +159,13 @@ class Permutation:
         """self^g = g^-1 * self * g, i.e. self with points relabeled by g."""
         self._check_domain(g)
         arr = np.empty_like(self.images)
-        arr[g.images - self.lo] = g.images[self.images - self.lo]
+        arr[g.images] = g.images[self.images]
         return Permutation._trusted(arr, self.lo)
 
     def __call__(self, point):
         if not self.lo <= point <= self.hi:
             raise PointOutOfDomain(point, self.lo, self.hi)
-        return int(self.images[point - self.lo])
+        return int(self.images[point - self.lo]) + self.lo
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -172,9 +176,7 @@ class Permutation:
         return hash((self.lo, self.images.tobytes()))
 
     def is_identity(self):
-        return bool(
-            (self.images == np.arange(self.lo, self.hi + 1, dtype=np.int64)).all()
-        )
+        return bool((self.images == np.arange(self.images.size)).all())
 
     def identity_like(self):
         return Permutation.identity(self.lo, self.hi)
@@ -182,23 +184,21 @@ class Permutation:
     def cycles(self):
         """Canonical cycle decomposition: fixed points dropped, each cycle
         starting at its least point, cycles sorted by least point."""
-        moved = np.nonzero(self.images != np.arange(self.lo, self.hi + 1))[0]
-        seen = set()
-        out = []
         img = self.images
         lo = self.lo
-        for idx in moved:
-            pt = int(idx) + lo
-            if pt in seen:
+        seen = set()
+        out = []
+        for start in np.nonzero(img != np.arange(img.size))[0].tolist():
+            if start in seen:
                 continue
-            cyc = [pt]
-            seen.add(pt)
-            nxt = int(img[idx])
-            while nxt != pt:
+            cyc = [start]
+            seen.add(start)
+            nxt = int(img[start])
+            while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
-                nxt = int(img[nxt - lo])
-            out.append(tuple(cyc))
+                nxt = int(img[nxt])
+            out.append(tuple(x + lo for x in cyc))
         return out
 
     def cycle_type(self):
@@ -207,7 +207,7 @@ class Permutation:
 
     def support(self):
         """The points actually moved, ascending."""
-        idx = np.nonzero(self.images != np.arange(self.lo, self.hi + 1))[0]
+        idx = np.nonzero(self.images != np.arange(self.images.size))[0]
         return [int(i) + self.lo for i in idx]
 
     def order(self):

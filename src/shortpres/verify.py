@@ -235,8 +235,7 @@ def certify_order(gens, expected=None):
         bound = math.factorial(n)
         if not any(g.epsilon() for g in gens):
             bound //= 2
-        order = _chain_order(
-            [tuple((g.images - lo).tolist()) for g in gens], bound)
+        order = _chain_order([tuple(g.images.tolist()) for g in gens], bound)
     else:
         order = 1
     if expected is not None and order != expected:

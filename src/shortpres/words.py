@@ -531,45 +531,100 @@ class GeneratorImages:
         return next(iter(self.mapping.values())).identity_like()
 
 
+class _Evaluator:
+    """Evaluates words in env, computing each distinct factor once.
+
+    A factor base^e is keyed by (base, |e|): base^|e| is computed on the
+    key's first use, base^-|e| is its inverse, and both are dropped after
+    the key's last use.  The uses are counted up front by walking the words
+    as evaluation will: a key's base is entered on its first use only,
+    because every later use is served from the cache.
+    """
+
+    def __init__(self, env, words):
+        self.env = env.mapping if isinstance(env, GeneratorImages) else env
+        self.uses = {}
+        self.cache = {}  # key -> [base^|e|, base^-|e| or None]
+        for w in words:
+            self._count(w)
+
+    def _count(self, word):
+        for f in word.factors:
+            key = (f.base, abs(f.exp))
+            if key in self.uses:
+                self.uses[key] += 1
+                continue
+            self.uses[key] = 1
+            base = f.base
+            if isinstance(base, Conj):
+                self._count(base.target)
+                self._count(base.by)
+            elif isinstance(base, Comm):
+                self._count(base.left)
+                self._count(base.right)
+            elif isinstance(base, GroupWord):
+                self._count(base)
+
+    def word(self, word):
+        result = None
+        for f in word.factors:
+            val = self._factor(f)
+            result = val if result is None else result * val
+        if result is None:
+            for v in self.env.values():
+                return v.identity_like()
+            raise UnboundSymbol("<empty environment>")
+        return result
+
+    def _factor(self, f):
+        key = (f.base, abs(f.exp))
+        entry = self.cache.get(key)
+        if entry is None:
+            val = self._base(f.base)
+            entry = self.cache[key] = [val if key[1] == 1 else val ** key[1], None]
+        left = self.uses[key] - 1
+        if left:
+            self.uses[key] = left
+        else:
+            del self.uses[key], self.cache[key]
+        if f.exp > 0:
+            return entry[0]
+        if entry[1] is None:
+            entry[1] = entry[0].inverse()
+        return entry[1]
+
+    def _base(self, base):
+        if isinstance(base, Sym):
+            if base.name not in self.env:
+                raise UnboundSymbol(base.name)
+            return self.env[base.name]
+        if isinstance(base, Conj):
+            return self.word(base.target).conjugate(self.word(base.by))
+        if isinstance(base, Comm):
+            u = self.word(base.left)
+            v = self.word(base.right)
+            return u.inverse() * v.inverse() * u * v
+        return self.word(base)
+
+
 def evaluate(word, env):
     """Evaluate a word in env (name -> element).  Left factor applies first."""
-    result = None
-    for f in word.factors:
-        val = _eval_base(f.base, env) ** f.exp
-        result = val if result is None else result * val
-    if result is None:
-        for v in (env.mapping if isinstance(env, GeneratorImages) else env).values():
-            return v.identity_like()
-        raise UnboundSymbol("<empty environment>")
-    return result
-
-
-def _eval_base(base, env):
-    if isinstance(base, Sym):
-        mapping = env.mapping if isinstance(env, GeneratorImages) else env
-        if base.name not in mapping:
-            raise UnboundSymbol(base.name)
-        return mapping[base.name]
-    if isinstance(base, Conj):
-        return evaluate(base.target, env).conjugate(evaluate(base.by, env))
-    if isinstance(base, Comm):
-        u = evaluate(base.left, env)
-        v = evaluate(base.right, env)
-        return u.inverse() * v.inverse() * u * v
-    return evaluate(base, env)
+    return _Evaluator(env, [word]).word(word)
 
 
 def evaluate_slp(slp, images):
     """Evaluate all definitions (once each, in order) and all relators.
 
-    Returns (values, relator_values) where values maps generator and defined
-    names to elements.
+    Each distinct factor of the whole program is computed once and freed
+    after its last use.  Returns (values, relator_values) where values maps
+    generator and defined names to elements.
     """
     mapping = dict(images.mapping if isinstance(images, GeneratorImages) else images)
     for name in slp.generators:
         if name not in mapping:
             raise UnboundSymbol(name)
+    ev = _Evaluator(mapping, [w for _, w in slp.definitions] + list(slp.relators))
     for name, w in slp.definitions:
-        mapping[name] = evaluate(w, mapping)
-    relator_values = [evaluate(w, mapping) for w in slp.relators]
+        mapping[name] = ev.word(w)
+    relator_values = [ev.word(w) for w in slp.relators]
     return mapping, relator_values

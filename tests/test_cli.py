@@ -10,6 +10,7 @@ import json
 import pytest
 from test_builders import GOLDEN_ALT_17
 
+from shortpres import builders
 from shortpres.cli import main
 
 
@@ -176,6 +177,58 @@ class TestParams:
         alt, sym = (json.loads(line) for line in out.splitlines())
         assert alt["j"] == 2 and alt["jbar"] == 6 and alt["k_sl"] == 2
         assert sym["k"] == 12
+
+
+class TestBatches:
+    """Each degree of a batch is handled on its own; the exit code is 1 if
+    any degree failed, else 2 if any was not covered, else 0."""
+
+    def test_covered_degree_prints_next_to_an_uncovered_one(self, capsys):
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "verify", "-n", "20..21", "--kind",
+                                 "alt", "--jobs", jobs)
+            assert code == 2
+            assert out == ("degree=20 kind=Alt case=glued relators=7 "
+                           "identity=True OK\n")
+            assert err.startswith("shortpres: degree 21 is not covered")
+
+    def test_batch_goes_on_after_the_uncovered_degree(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "21,13,22,14",
+                             "--kind", "sym")
+        assert code == 2
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "degree=13", "degree=14"]
+        assert err.count("not covered") == 2
+
+    def test_a_failure_outranks_an_uncovered_degree(self, capsys,
+                                                    monkeypatch):
+        real = builders.presentation_for
+
+        def broken(n, kind, simplify=True):
+            pres = real(n, kind, simplify=simplify)
+            if n == 20:
+                pres.images.mapping["g"] = pres.images["a"]
+            return pres
+
+        monkeypatch.setattr(builders, "presentation_for", broken)
+        code, out, err = run(capsys, "verify", "-n", "20..21", "--kind", "alt")
+        assert code == 1
+        assert out.startswith("degree=20 ") and out.endswith(" FAIL\n")
+        assert "degree 21 is not covered" in err
+
+    def test_emit_stats_and_params_go_on(self, capsys):
+        code, out, err = run(capsys, "emit", "-n", "21,17", "--kind", "alt")
+        assert code == 2 and "not covered" in err
+        assert out.startswith("# degree: 17\n") and out.endswith(GOLDEN_ALT_17)
+
+        code, out, err = run(capsys, "stats", "-n", "20..21", "--kind", "alt")
+        assert code == 2 and "not covered" in err
+        assert [line.split(",")[0] for line in out.splitlines()] == [
+            "degree", "20"]
+
+        code, out, err = run(capsys, "params", "-n", "20..21", "--kind", "alt")
+        assert code == 2 and "not covered" in err
+        assert json.loads(out)["n"] == 20
 
 
 class TestExitCodes:

@@ -5,10 +5,12 @@ conventions documented in the words module docstring.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from shortpres import words
 from shortpres.errors import InternalInvariantViolation, UnboundSymbol
+from shortpres.builders import base_p2_hat, glued
 from shortpres.perm import Permutation, parse_cycles
 from shortpres.words import (
     Comm,
@@ -383,3 +385,134 @@ def test_json_words_survive_serialization():
     w = comm(a ** 2, conj(b, a)) * (a * b) ** -3 * sym("c")
     data = json.loads(json.dumps(word_to_json(w)))
     assert word_from_json(data) == w
+
+
+# ---------------------------------------------------------------------------
+# the cached evaluator against a plain one
+
+
+def plain_evaluate(word, env, identity):
+    """Left to right, every factor computed from scratch with the carrier's
+    own power: no sharing between factors."""
+    result = identity
+    for f in word.factors:
+        result = result * plain_base(f.base, env, identity) ** f.exp
+    return result
+
+
+def plain_base(base, env, identity):
+    if isinstance(base, Sym):
+        return env[base.name]
+    if isinstance(base, Conj):
+        t = plain_evaluate(base.target, env, identity)
+        v = plain_evaluate(base.by, env, identity)
+        return v.inverse() * t * v
+    if isinstance(base, Comm):
+        u = plain_evaluate(base.left, env, identity)
+        v = plain_evaluate(base.right, env, identity)
+        return u.inverse() * v.inverse() * u * v
+    return plain_evaluate(base, env, identity)
+
+
+EXPONENTS = st.sampled_from([1, -1, 2, -2, 3, -3, 7, -7])
+
+
+def factor_lists(bases):
+    """Nonempty factor lists in which a factor is often followed by its
+    inverse, kept apart: the words are built without free reduction."""
+    def expand(items):
+        out = []
+        for base, e, mirrored in items:
+            out.append(Factor(base, e))
+            if mirrored:
+                out.append(Factor(base, -e))
+        return GroupWord(tuple(out))
+
+    return st.lists(st.tuples(bases, EXPONENTS, st.booleans()),
+                    min_size=1, max_size=4).map(expand)
+
+
+def nested_bases(names):
+    leaves = st.sampled_from(names).map(Sym)
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(Conj, factor_lists(inner), factor_lists(inner)),
+        st.builds(Comm, factor_lists(inner), factor_lists(inner)),
+        factor_lists(inner),  # a parenthesized subword
+    ), max_leaves=5)
+
+
+def random_images(draw, pairs):
+    left = [Permutation(draw(st.permutations(range(-1, 5))), -1)
+            for _ in range(2)]
+    if not pairs:
+        return dict(zip("ab", left))
+    right = [Permutation(draw(st.permutations(range(1, 4))), 1)
+             for _ in range(2)]
+    return {t: ProductPair(x, y) for t, x, y in zip("ab", left, right)}
+
+
+def record_evaluators(monkeypatch):
+    made = []
+
+    class Recording(words._Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(words, "_Evaluator", Recording)
+    return made
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cached_evaluation_matches_plain_evaluation(data):
+    env = random_images(data.draw, data.draw(st.booleans()))
+    identity = env["a"].identity_like()
+    names = ["a", "b"]
+    # a small shared pool of bases, so factors repeat across the program
+    pool = data.draw(st.lists(nested_bases(names), min_size=1, max_size=3))
+    defs = []
+    for i in range(data.draw(st.integers(0, 3))):
+        bases = st.one_of(st.sampled_from(pool), nested_bases(names))
+        defs.append((f"d{i}", data.draw(factor_lists(bases))))
+        names.append(f"d{i}")
+    bases = st.one_of(st.sampled_from(pool), nested_bases(names))
+    relators = data.draw(st.lists(factor_lists(bases), min_size=1, max_size=3))
+    slp = Slp(("a", "b"), tuple(defs), tuple(relators))
+
+    values, rel_values = evaluate_slp(slp, env)
+    plain = dict(env)
+    for name, w in defs:
+        plain[name] = plain_evaluate(w, plain, identity)
+        assert values[name] == plain[name]
+    assert rel_values == [plain_evaluate(w, plain, identity) for w in relators]
+
+
+class TestCachedEvaluator:
+    def test_cache_is_empty_after_evaluate_slp(self, monkeypatch):
+        made = record_evaluators(monkeypatch)
+        for pres in (glued(17, "Alt"), glued(20, "Alt"), glued(18, "Sym"),
+                     base_p2_hat(11, "Sym")):
+            evaluate_slp(pres.slp, pres.images)
+        assert len(made) == 4
+        for ev in made:
+            assert ev.cache == {} and ev.uses == {}
+
+    def test_a_power_and_its_inverse_cost_one_power(self, monkeypatch):
+        env = {"a": parse_cycles("(1,2,3,4,5,6,7)", 1, 7),
+               "b": parse_cycles("(1,2)", 1, 7)}
+        ab = GroupWord((Factor(GroupWord(a.factors + b.factors), 1),))
+        word = GroupWord((Factor(ab, 5), Factor(b, 1), Factor(ab, -5)))
+        powers = []
+        real_pow = Permutation.__pow__
+
+        def counting_pow(self, e):
+            powers.append(e)
+            return real_pow(self, e)
+
+        monkeypatch.setattr(Permutation, "__pow__", counting_pow)
+        got = evaluate(word, env)
+        assert powers == [5]
+        ab_val = env["a"] * env["b"]
+        assert got == ab_val ** 5 * env["b"] * ab_val ** -5
