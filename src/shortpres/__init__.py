@@ -7,149 +7,4 @@ accounting, deterministic order certification, and evaluations showing
 that the uncorrected variants of the constructions fail.
 """
 
-from .builders import (
-    MATERIALIZE_MAX_DEGREE,
-    Presentation,
-    agl_examples,
-    alt_p3,
-    base_p2,
-    base_p2_hat,
-    carmichael,
-    covered_degrees,
-    emit,
-    glue_map_image,
-    glued,
-    moore,
-    params_for,
-    presentation_for,
-    presentation_json,
-)
-from .errors import (
-    BadPrimeClass,
-    DegreeTooLarge,
-    DomainMismatch,
-    EnumerationTooLarge,
-    InternalInvariantViolation,
-    OverlappingCycles,
-    ParityViolation,
-    PointOutOfDomain,
-    ShortPresError,
-    UnboundSymbol,
-    UnsupportedDegree,
-)
-from .numth import (
-    ParamSet,
-    derive_params,
-    find_glue_prime,
-    group_unit_generator,
-    is_prime,
-    validate_params,
-)
-from .perm import Cycle, Permutation, parse_cycles
-from .sl2 import (
-    Mat2p,
-    check_cr_relators,
-    cr_relator_words,
-    element_v,
-    gens_tu,
-    projective_perm,
-    scan_cr_generator_pairs,
-    subgroup_order,
-)
-from .verify import (
-    FALSIFICATION_TARGETS,
-    VerificationReport,
-    certify_order,
-    check_relators,
-    expected_symmetry_order,
-    falsify_original,
-    verify_presentation,
-)
-from .words import (
-    GeneratorImages,
-    GroupWord,
-    ProductPair,
-    Slp,
-    bit_length,
-    comm,
-    conj,
-    evaluate,
-    evaluate_slp,
-    exponent_bits,
-    least_absolute,
-    parse_word,
-    simplify,
-    sym,
-    word_length,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "MATERIALIZE_MAX_DEGREE",
-    "Presentation",
-    "agl_examples",
-    "alt_p3",
-    "base_p2",
-    "base_p2_hat",
-    "carmichael",
-    "covered_degrees",
-    "emit",
-    "glue_map_image",
-    "glued",
-    "moore",
-    "params_for",
-    "presentation_for",
-    "presentation_json",
-    "BadPrimeClass",
-    "DegreeTooLarge",
-    "DomainMismatch",
-    "EnumerationTooLarge",
-    "InternalInvariantViolation",
-    "OverlappingCycles",
-    "ParityViolation",
-    "PointOutOfDomain",
-    "ShortPresError",
-    "UnboundSymbol",
-    "UnsupportedDegree",
-    "ParamSet",
-    "derive_params",
-    "find_glue_prime",
-    "group_unit_generator",
-    "is_prime",
-    "validate_params",
-    "Cycle",
-    "Permutation",
-    "parse_cycles",
-    "Mat2p",
-    "check_cr_relators",
-    "cr_relator_words",
-    "element_v",
-    "gens_tu",
-    "projective_perm",
-    "scan_cr_generator_pairs",
-    "subgroup_order",
-    "FALSIFICATION_TARGETS",
-    "VerificationReport",
-    "certify_order",
-    "check_relators",
-    "expected_symmetry_order",
-    "falsify_original",
-    "verify_presentation",
-    "GeneratorImages",
-    "GroupWord",
-    "ProductPair",
-    "Slp",
-    "bit_length",
-    "comm",
-    "conj",
-    "evaluate",
-    "evaluate_slp",
-    "exponent_bits",
-    "least_absolute",
-    "parse_word",
-    "simplify",
-    "sym",
-    "word_length",
-    "__version__",
-]

@@ -19,9 +19,12 @@ projective line), p+2 and p+3.
 Exponent handling: with simplify=True (the default) auxiliary words carry
 least-absolute exponents modulo the known image orders (a modulo p, the
 grouped (a x) modulo p-1, conjugating indices modulo p) and the residue s
-is lifted to whichever of s, s-p costs fewer bits; with simplify=False all
-exponents are kept exactly as the defining formulas state them.  Relators
-other than the s-lift are never rewritten.
+is lifted to whichever of s, s-p costs fewer bits.  The reduction happens
+as each word is built; only cbull, whose seam merges two reduced powers
+of a, is reduced once more.  With simplify=False all exponents are kept
+exactly as the defining formulas state them (adjacent powers of one base
+still merge where words are concatenated).  Relators other than the
+s-lift are never rewritten.
 """
 
 from __future__ import annotations
@@ -226,13 +229,7 @@ def _base_h_word(a, b, z, ps, simplify, double_b):
 
 def base_p2(p, kind, params=None, simplify=True):
     """The 2-generator 4-relator presentation of A_{p+2} or S_{p+2}."""
-    if params:
-        ps = validate_params(params)
-        if ps.n != p + 2 or ps.kind != numth._norm_kind(kind) or ps.k is not None \
-                or ps.j is not None:
-            raise InternalInvariantViolation("parameters do not describe this case")
-    else:
-        ps = derive_params(kind, "BaseP2", p=p)
+    ps = _intake(kind, "BaseP2", p + 2, params)
     a, g, z_, b_ = sym("a"), sym("g"), sym("z"), sym("b")
     defs = [
         ("b", g ** 3),
@@ -240,8 +237,6 @@ def base_p2(p, kind, params=None, simplify=True):
         ("h", _base_h_word(a, b_, z_, ps, simplify, double_b=(ps.kind == "Sym"))),
     ]
     relators = _base_relators(a, b_, z_, ps, simplify) + (sym("h"),)
-    if simplify:
-        defs = [(n, words.simplify(w, {"a": p})) for n, w in defs]
     slp = Slp(("a", "g"), tuple(defs), relators)
     lo, hi = 1, p + 2
     images = None
@@ -355,20 +350,13 @@ def agl_examples(p, variant, with_extra_relator=False, simplify=True):
 # degree p+3 (Alt only, 3 generators x, y, z)
 
 
-def alt_p3(p, params=None, simplify=True):
+def alt_p3(p, params=None):
     """A_{p+3} on three generators and seven relators.
 
-    Exponents here are kept exactly as the defining formulas state them
-    (there is nothing the freedom rules allow us to shorten), so simplify
-    has no effect on this family.
+    Exponents here are kept exactly as the defining formulas state them:
+    there is nothing the freedom rules allow us to shorten.
     """
-    if params:
-        ps = validate_params(params)
-        if ps.n != p + 3 or ps.j is None:
-            raise InternalInvariantViolation("parameters do not describe this case")
-    else:
-        ps = derive_params("Alt", "P3", p=p)
-    del simplify  # emission is identical either way; documented above
+    ps = _intake("Alt", "P3", p + 3, params)
     x, y, z = sym("x"), sym("y"), sym("z")
     j, jbar, k = ps.j, ps.jbar, ps.k_sl
     h_word = y ** jbar * conj(y ** j, x) * y ** jbar * x ** ((-1) ** k)
@@ -423,12 +411,7 @@ def glued(n, kind, params=None, simplify=True):
     copies overlap in k points.  Seven relators; every exponent is O(p), so
     the bit length is O(log n).
     """
-    if params:
-        ps = validate_params(params)
-        if ps.n != n or ps.kind != numth._norm_kind(kind) or ps.k is None:
-            raise InternalInvariantViolation("parameters do not describe this case")
-    else:
-        ps = derive_params(kind, "Glued", n=n)
+    ps = _intake(kind, "Glued", n, params)
     p, k = ps.p, ps.k
     kind = ps.kind
     n_even = n % 2 == 0
@@ -453,7 +436,11 @@ def glued(n, kind, params=None, simplify=True):
     ]
     t = sym("t")
     if kind == "Sym":
-        defs.append(("cbull", cw(1, half_down) * ~cw(half_down + 1, p - 1)))
+        cbull = cw(1, half_down) * ~cw(half_down + 1, p - 1)
+        if simplify:
+            # the seam of two reduced words merges into a^((p+1)/2), past p/2
+            cbull = words.simplify(cbull, {"a": p})
+        defs.append(("cbull", cbull))
         defs.append(("v", (sym("cbull") * dw(1, -1)) ** half_down))
         defs.append(("t", sym("v") * b ** half_down))
         c_def = (cw(2, k) if not n_even else cw(1, k)) * t
@@ -475,8 +462,6 @@ def glued(n, kind, params=None, simplify=True):
         comm(sym("d"), conj(sym("e"), y)),
         y * sym("w") ** -1,
     )
-    if simplify:
-        defs = [(nm, words.simplify(wd, {"a": p})) for nm, wd in defs]
     slp = Slp(("a", "g", "y"), tuple(defs), relators)
     lo, hi = k - p - 1, p + 2
     images = None
@@ -580,28 +565,46 @@ def glue_map_image(p, k, kind, lo=None, hi=None):
 # dispatch
 
 
-def presentation_for(n, kind, simplify=True):
-    """The covered presentation of A_n or S_n for this degree."""
-    kind = numth._norm_kind(kind)
+def _case(n, kind):
+    """The construction case that covers degree n of this kind: the base
+    case at 13, 25 and 49, the degree p+3 case for Alt at 14, 26 and 50,
+    and the glued one everywhere else."""
     if n < 13:
         raise UnsupportedDegree(n, "smallest covered degree is 13")
     if n in (13, 25, 49):
-        return base_p2(n - 2, kind, simplify=simplify)
+        return "BaseP2"
     if kind == "Alt" and n in (14, 26, 50):
-        return alt_p3(n - 3, simplify=simplify)
+        return "P3"
+    return "Glued"
+
+
+def _intake(kind, case, n, params):
+    """The derived parameters of this case, or the hand-picked params once
+    they are valid and describe exactly this n, kind and case."""
+    if not params:
+        return derive_params(kind, case, n=n)
+    ps = validate_params(params)
+    given = "P3" if ps.j is not None else "BaseP2" if ps.k is None else "Glued"
+    if (ps.n, ps.kind, given) != (n, numth._norm_kind(kind), case):
+        raise InternalInvariantViolation("parameters do not describe this case")
+    return ps
+
+
+def presentation_for(n, kind, simplify=True):
+    """The covered presentation of A_n or S_n for this degree."""
+    kind = numth._norm_kind(kind)
+    case = _case(n, kind)
+    if case == "BaseP2":
+        return base_p2(n - 2, kind, simplify=simplify)
+    if case == "P3":
+        return alt_p3(n - 3)
     return glued(n, kind, simplify=simplify)
 
 
 def params_for(n, kind):
     """The derived parameters presentation_for would use at this degree."""
     kind = numth._norm_kind(kind)
-    if n < 13:
-        raise UnsupportedDegree(n, "smallest covered degree is 13")
-    if n in (13, 25, 49):
-        return derive_params(kind, "BaseP2", p=n - 2)
-    if kind == "Alt" and n in (14, 26, 50):
-        return derive_params("Alt", "P3", p=n - 3)
-    return derive_params(kind, "Glued", n=n)
+    return derive_params(kind, _case(n, kind), n=n)
 
 
 def covered_degrees(lo, hi, kind):
@@ -609,16 +612,12 @@ def covered_degrees(lo, hi, kind):
     kind = numth._norm_kind(kind)
     out = []
     for n in range(max(lo, 13), hi + 1):
-        if n in (13, 25, 49):
-            out.append(n)
-        elif kind == "Alt" and n in (14, 26, 50):
-            out.append(n)
-        else:
+        if _case(n, kind) == "Glued":
             try:
                 find_glue_prime(n, kind)
             except UnsupportedDegree:
                 continue
-            out.append(n)
+        out.append(n)
     return out
 
 

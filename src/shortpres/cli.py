@@ -286,7 +286,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (UnsupportedDegree, DegreeTooLarge, EnumerationTooLarge) as exc:
+    except _REQUEST_ERRORS as exc:
         print(f"shortpres: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
     except ValueError as exc:

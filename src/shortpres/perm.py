@@ -25,31 +25,6 @@ from .errors import DomainMismatch, OverlappingCycles, PointOutOfDomain
 _CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\)")
 
 
-class Cycle:
-    """An ordered tuple of distinct points, (x1,...,xk) mapping each to the next."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        pts = tuple(int(x) for x in points)
-        if len(set(pts)) != len(pts):
-            seen = set()
-            for x in pts:
-                if x in seen:
-                    raise OverlappingCycles(x)
-                seen.add(x)
-        self.points = pts
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __repr__(self):
-        return f"Cycle{self.points}"
-
-
 class Permutation:
     """A bijection of [lo, hi], composed left-to-right."""
 
@@ -103,14 +78,14 @@ class Permutation:
     def from_cycles(cls, cycles, lo, hi):
         """Build the product of pairwise-disjoint cycles on [lo, hi].
 
-        Each cycle may be a Cycle or any iterable of points.  A point used
-        twice (within or across cycles) raises OverlappingCycles; a point
-        outside [lo, hi] raises PointOutOfDomain.
+        Each cycle is an iterable of points.  A point used twice (within
+        or across cycles) raises OverlappingCycles; a point outside
+        [lo, hi] raises PointOutOfDomain.
         """
         arr = np.arange(hi - lo + 1, dtype=np.int64)
         seen = set()
         for cyc in cycles:
-            pts = list(cyc.points if isinstance(cyc, Cycle) else cyc)
+            pts = list(cyc)
             for x in pts:
                 if not lo <= x <= hi:
                     raise PointOutOfDomain(x, lo, hi)

@@ -201,21 +201,6 @@ def projective_perm(m, p):
     return Permutation(images, lo=0)
 
 
-def pretty_point(x, p):
-    """Render a projective point, with p shown as the infinite point."""
-    return "oo" if x == p else str(x)
-
-
-def pretty_perm(perm, p):
-    """Cycle text for a projective permutation with oo for the infinite point."""
-    cyc = perm.cycles()
-    if not cyc:
-        return "()"
-    return "".join(
-        "(" + ",".join(pretty_point(x, p) for x in c) + ")" for c in cyc
-    )
-
-
 def scan_cr_generator_pairs(p):
     """Exhaustive scan over SL(2,p)^2 for pairs satisfying both defining
     relators; counts how many also make <y, y^jbar (y^j)^x y^jbar x^-1>

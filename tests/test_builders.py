@@ -31,9 +31,9 @@ from shortpres.errors import (
     InternalInvariantViolation,
     UnsupportedDegree,
 )
-from shortpres.numth import ParamSet
+from shortpres.numth import ParamSet, derive_params, is_prime
 from shortpres.perm import Permutation
-from shortpres.words import Slp, evaluate_slp, to_text
+from shortpres.words import Slp, evaluate_slp, simplify, to_text
 
 GOLDEN_ALT_17 = """\
 generators: a g y
@@ -216,11 +216,6 @@ class TestAltP3:
         assert (x * x).is_identity()
         assert x(13) == 13 and x(14) == 14
 
-    def test_simplify_has_no_effect_here(self):
-        # the x-image has order 2, so exponent reduction would delete the
-        # trailing x factors; this family keeps its formulas literal
-        assert alt_p3(11).slp == alt_p3(11, simplify=False).slp
-
     def test_bad_prime(self):
         with pytest.raises(BadPrimeClass):
             alt_p3(9)
@@ -354,9 +349,49 @@ class TestDispatch:
         assert covered_degrees(13, 51, "Alt") == expected
         assert covered_degrees(13, 51, "Sym") == expected
 
+    def test_parameters_of_another_case_rejected(self):
+        # right degree and kind, wrong construction case
+        glued_73 = derive_params("Alt", "Glued", n=73)
+        glued_74 = derive_params("Alt", "Glued", n=74)
+        base_73 = derive_params("Alt", "BaseP2", n=73)
+        for build in (lambda: base_p2(71, "Alt", params=glued_73),
+                      lambda: alt_p3(71, params=glued_74),
+                      lambda: glued(73, "Alt", params=base_73)):
+            with pytest.raises(InternalInvariantViolation):
+                build()
+
     def test_params_for_agrees_with_built_presentation(self):
         for n, kind in [(17, "Alt"), (14, "Sym"), (26, "Alt"), (25, "Alt")]:
             assert params_for(n, kind) == presentation_for(n, kind).params
+
+
+class TestReducedWords:
+    """The builders reduce exponents as they build each word, so reducing a
+    built definition again changes nothing."""
+
+    @staticmethod
+    def assert_reduced(pres):
+        orders = {"a": pres.params.p}
+        for name, w in pres.slp.definitions:
+            assert simplify(w, orders) == w, (pres.degree, pres.kind, name)
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    def test_covered_degrees(self, kind):
+        for n in covered_degrees(13, 2000, kind):
+            self.assert_reduced(presentation_for(n, kind))
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    def test_base_case_primes(self, kind):
+        admissible = 11 if kind == "Alt" else 2
+        modulus = 12 if kind == "Alt" else 3
+        for p in range(5, 2000):
+            if p % modulus == admissible and is_prime(p):
+                self.assert_reduced(base_p2(p, kind))
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    def test_literal_exponents_still_give_identities(self, kind):
+        for n in covered_degrees(13, 200, kind):
+            assert all_identity(presentation_for(n, kind, simplify=False)), n
 
 
 class TestEmission:

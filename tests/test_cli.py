@@ -5,6 +5,7 @@ with capsys.  Exit codes: 0 success, 1 verification failure, 2 unsupported
 degree or size limit, 3 bad arguments.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,26 @@ class TestEmit:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+# sha256 of the stdout of `emit -n 13..20,25..44,49..1024 --kind both`, every
+# covered degree up to 1024, recorded before the builders were restructured.
+EMIT_DIGESTS = {
+    ("--format", "slp"):
+        "63e25b93aeaa11ff5aec4adf146f147ff375b35f7b31991a27f7f9cc9849d8a9",
+    ("--format", "flat"):
+        "010b2096fac1077b4e4d1fe8aea29ef4c77cdcbf993bbc6605a430c8c236f5e3",
+    ("--format", "slp", "--no-simplify"):
+        "e954a02078e0c30422cc5d9f8969686ea564b03fc0f211a0fe334a4bd99bf9ff",
+}
+
+
+@pytest.mark.parametrize("options", list(EMIT_DIGESTS))
+def test_emit_output_digest(capsys, options):
+    code, out, err = run(capsys, "emit", "-n", "13..20,25..44,49..1024",
+                         "--kind", "both", *options)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_DIGESTS[options]
 
 
 class TestVerify:

@@ -13,7 +13,7 @@ from shortpres.errors import (
     OverlappingCycles,
     PointOutOfDomain,
 )
-from shortpres.perm import Cycle, Permutation, parse_cycles
+from shortpres.perm import Permutation, parse_cycles
 
 
 def P(text, lo=1, hi=None):
@@ -42,7 +42,7 @@ class TestConstruction:
         with pytest.raises(OverlappingCycles):
             Permutation.from_cycles([(1, 2), (2, 3)], 1, 5)
         with pytest.raises(OverlappingCycles):
-            Cycle((1, 2, 1))
+            Permutation.from_cycles([(1, 2, 1)], 1, 5)
 
     def test_from_cycles_out_of_domain(self):
         with pytest.raises(PointOutOfDomain):

@@ -20,8 +20,6 @@ from shortpres.sl2 import (
     cr_relator_words,
     element_v,
     gens_tu,
-    pretty_perm,
-    pretty_point,
     projective_perm,
     scan_cr_generator_pairs,
     subgroup_order,
@@ -136,9 +134,9 @@ class TestProjectiveAction:
     def test_translation_cycle_and_involution(self):
         t, u = gens_tu(11)
         tb, ub = projective_perm(t, 11), projective_perm(u, 11)
-        assert pretty_perm(ub, 11) == "(0,1,2,3,4,5,6,7,8,9,10)"
+        assert str(ub) == "(0,1,2,3,4,5,6,7,8,9,10)"
         assert (tb * tb).is_identity()
-        assert pretty_perm(tb, 11) == "(0,oo)(1,10)(2,5)(3,7)(4,8)(6,9)"
+        assert str(tb) == "(0,11)(1,10)(2,5)(3,7)(4,8)(6,9)"
 
     def test_center_acts_trivially(self):
         m = Mat2p(-1, 0, 0, -1, 13)
@@ -150,10 +148,6 @@ class TestProjectiveAction:
             assert projective_perm(m * n, 13) == (
                 projective_perm(m, 13) * projective_perm(n, 13)
             )
-
-    def test_pretty_point(self):
-        assert pretty_point(11, 11) == "oo"
-        assert pretty_point(4, 11) == "4"
 
 
 class TestPairScan:
