@@ -5,6 +5,7 @@ word in them was machine-checked to evaluate to the identity (or, for the
 definitions, to its expected permutation) before freezing.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -195,6 +196,28 @@ class TestAglExamples:
         with pytest.raises(BadPrimeClass):
             agl_examples(9, "AltAGL")
         assert all_identity(agl_examples(13, "SymAGL"))
+
+
+# sha256 of json.dumps(presentation_json(...)) over every AGL variant, with
+# and without the extra relator and simplification, in that order, recorded
+# before agl_examples took its relators from the base-case words.
+AGL_DIGESTS = {
+    11: "9059b577e25fbaed7f86cc6c9ab8085c73464a7c2854b5e1f2750ded9b210472",
+    23: "f20615799fb3539ab15ec2aad303d2c8d31a4d5b8c44e5febefc84de3ba6e4a5",
+    47: "ffa9b16c83028338e214f2275d70813e3ef675979c7bdc77671cdead523a7fd5",
+}
+
+
+@pytest.mark.parametrize("p", list(AGL_DIGESTS))
+def test_agl_json_digest(p):
+    digest = hashlib.sha256()
+    for variant in ("AltAGL", "AltAGL2", "SymAGL"):
+        for extra in (False, True):
+            for simp in (False, True):
+                pres = agl_examples(p, variant, with_extra_relator=extra,
+                                    simplify=simp)
+                digest.update(json.dumps(presentation_json(pres)).encode())
+    assert digest.hexdigest() == AGL_DIGESTS[p]
 
 
 class TestAltP3:

@@ -96,6 +96,33 @@ def test_emit_output_digest(capsys, options):
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_DIGESTS[options]
 
 
+# sha256 of the stdout of `falsify --p P`, which exits 0 at each of these
+# primes, recorded before the falsification targets were made to read the
+# emitted construction's own words.
+FALSIFY_DIGESTS = {
+    5: "84e4130cdc96752ce6046fd164e6f57707df41f32622d834bcd0a974c7585099",
+    7: "948d3bea4bdf61e7966fa3cdd5535c2424fc8364afeb4a416f1882bf3609f895",
+    11: "c1bf8f2e5709e15b89c78c6643ee561f1f9f5c78b99e51f62ea3b4d01bab805c",
+    13: "fe612f456a9f2ae3cbcdaaeddfa3ec7c8435b3664d8ac9b3d0767193b501e336",
+    17: "c9b45b64505b95f708c1a12e1cfb290f923ab4252070f55c756fead6c0177317",
+    19: "937cae12e21bdcdc02a8a3877f81db5167438e36018f473648b6d6eac7fd6b61",
+    23: "a40d829a5999340a591074e67253b5fd950f074aed61fab3fd3b62b98ab253b2",
+    29: "46e251dcae847f8ed8c4b07f39e3d0ba6e34aa49c6b02e797cc12d6043ab64b6",
+    31: "a34c9441317c07f01ae0e7aca9d9b74250e02307667bbd054cc97d356ee14e00",
+    37: "6d7cf4195b22155f4a31a5fe103b08441e41dd295898ff480225384d2a8b23ce",
+    41: "b17979efbd61bf66214f20bb8238a8694a8b8685dd4e94872390f716d038c78e",
+    43: "5b5fb26562e75efc245744d6501f8b3e212593120fa10e26da13d5f272e3e88b",
+    47: "961d45441fe3c39024b21cfa4b9afc444c60c866f20d7d085f836bbfb1f3ed8b",
+}
+
+
+@pytest.mark.parametrize("p", list(FALSIFY_DIGESTS))
+def test_falsify_output_digest(capsys, p):
+    code, out, _ = run(capsys, "falsify", "--p", str(p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FALSIFY_DIGESTS[p]
+
+
 class TestVerify:
     def test_relator_depth_lines(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "13..15")
