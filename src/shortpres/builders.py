@@ -1,8 +1,9 @@
 """Presentation builders.
 
 Each builder returns a Presentation: an Slp, the arithmetic parameters it
-was built from, and concrete generator images (permutations, or pairs of
-permutations for the hat variants that present a direct product).
+was built from, and concrete generator images, built on first read
+(permutations, or pairs of permutations for the hat variants that present a
+direct product).
 
 Degrees covered by presentation_for: 13 and up, except 21-24 and 45-48.
 The two baseline families (one-transposition-per-generator and
@@ -30,7 +31,9 @@ s-lift are never rewritten.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .numth import ParamSet, derive_params, find_glue_prime, validate_params
 from .perm import Permutation
-from .words import GeneratorImages, ProductPair, Slp, comm, conj, sym
+from .words import ProductPair, Slp, comm, conj, sym
 
 MATERIALIZE_MAX_DEGREE = 10_000_000
 
@@ -55,8 +58,16 @@ class Presentation:
     degree: int
     case: str
     params: ParamSet | None
-    images: GeneratorImages | None
     domain: tuple | None
+    build_images: Callable[[], dict]  # generator name -> image
+
+    @cached_property
+    def images(self):
+        """Generator name -> image, built on first read; None above the
+        materialization cap."""
+        if self.degree > MATERIALIZE_MAX_DEGREE:
+            return None
+        return self.build_images()
 
     def bit_length(self):
         return self.slp.bit_length()
@@ -84,12 +95,9 @@ def moore(n):
         for j in range(i + 2, n - 1):
             relators.append((gens[i] * gens[j]) ** 2)
     slp = Slp(tuple(names), (), tuple(relators))
-    mapping = {
+    return Presentation(slp, "Baseline", n, "moore", None, (1, n), lambda: {
         name: Permutation.from_cycles([(i + 1, i + 2)], 1, n)
-        for i, name in enumerate(names)
-    }
-    return Presentation(slp, "Baseline", n, "moore", None,
-                        GeneratorImages(mapping), (1, n))
+        for i, name in enumerate(names)})
 
 
 def carmichael(n):
@@ -103,12 +111,10 @@ def carmichael(n):
         for j in range(i + 1, n):
             relators.append((gens[i] * gens[j]) ** 2)
     slp = Slp(tuple(names), (), tuple(relators))
-    mapping = {
-        name: Permutation.from_cycles([(i + 1, n + 1, n + 2)], 1, n + 2)
-        for i, name in enumerate(names)
-    }
-    return Presentation(slp, "Baseline", n + 2, "carmichael", None,
-                        GeneratorImages(mapping), (1, n + 2))
+    hi = n + 2
+    return Presentation(slp, "Baseline", hi, "carmichael", None, (1, hi), lambda: {
+        name: Permutation.from_cycles([(i + 1, n + 1, hi)], 1, hi)
+        for i, name in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +245,8 @@ def base_p2(p, kind, params=None, simplify=True):
     relators = _base_relators(a, b_, z_, ps, simplify) + (sym("h"),)
     slp = Slp(("a", "g"), tuple(defs), relators)
     lo, hi = 1, p + 2
-    images = None
-    if p + 2 <= MATERIALIZE_MAX_DEGREE:
-        images = GeneratorImages(
-            {"a": _a_image(p, lo, hi), "g": _g_image(ps, lo, hi)})
-    return Presentation(slp, ps.kind, p + 2, "base_p2", ps, images, (lo, hi))
+    return Presentation(slp, ps.kind, p + 2, "base_p2", ps, (lo, hi), lambda: {
+        "a": _a_image(p, lo, hi), "g": _g_image(ps, lo, hi)})
 
 
 def base_p2_hat(p, kind, params=None, simplify=True):
@@ -254,14 +257,11 @@ def base_p2_hat(p, kind, params=None, simplify=True):
     ps = base.params
     slp = Slp(base.slp.generators, base.slp.definitions, base.slp.relators[:3])
     lo, hi = 1, p + 2
-    images = None
-    if p + 2 <= MATERIALIZE_MAX_DEGREE:
-        images = GeneratorImages({
-            "a": ProductPair(_a_image(p, lo, hi), _a_image(p, 1, p)),
-            "g": ProductPair(_g_image(ps, lo, hi), _mul_image(ps.alpha, p, 1, p)),
-        })
     kind_out = "AltTimesT" if ps.kind == "Alt" else "SymHat"
-    return Presentation(slp, kind_out, p + 2, "base_p2_hat", ps, images, (lo, hi))
+    return Presentation(slp, kind_out, p + 2, "base_p2_hat", ps, (lo, hi), lambda: {
+        "a": ProductPair(_a_image(p, lo, hi), _a_image(p, 1, p)),
+        "g": ProductPair(_g_image(ps, lo, hi), _mul_image(ps.alpha, p, 1, p)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +296,11 @@ def agl_examples(p, variant, with_extra_relator=False, simplify=True):
         r = numth.group_unit_generator(p)
         ordb = p - 1
     s = (-pow(r - 1, -1, p)) % p
-    s_lift = _lift_residue(s, p, simplify)
+    ps = ParamSet(kind="Sym" if variant == "SymAGL" else "Alt",
+                  n=p + 2, p=p, r=r, s=s, alpha=None, kappa=ordb)
     a, b, z = sym("a"), sym("b"), sym("z")
-    relators = [
-        a ** p * b ** -ordb,
-        conj(a ** s_lift, b) * a ** -(s_lift - 1),
-        z ** 3,
-        (z * conj(z, a)) ** 2,
-    ]
+    base = _base_relators(a, b, z, ps, simplify)
+    relators = [*base[:2], z ** 3, base[2]]
     if variant == "AltAGL":
         relators.append(conj(z, b) * z)  # z^b = z^-1
     elif variant == "AltAGL2":
@@ -312,38 +309,34 @@ def agl_examples(p, variant, with_extra_relator=False, simplify=True):
         relators.append(comm(z, b))
     if with_extra_relator:
         if variant == "AltAGL":
-            extra = (conj(b, a) * z) ** p
-        elif variant == "AltAGL2":
-            extra = (b * conj(z, a) * _z_word(z, a, -1, p, simplify)) ** ((p + 1) // 2)
+            relators.append((conj(b, a) * z) ** p)
         else:
-            extra = (b ** 2 * conj(z, a)
-                     * _z_word(z, a, r, p, simplify)) ** ((p + 1) // 2)
-        relators.append(extra)
+            relators.append(_base_h_word(a, b, z, ps, simplify,
+                                         double_b=(variant == "SymAGL")))
     slp = Slp(("a", "b", "z"), (), tuple(relators))
     lo, hi = 1, p + 2
-    b_first = _mul_image(r, p, lo, hi)
-    if variant == "AltAGL":
-        b_first = b_first * Permutation.from_cycles([(p + 1, p + 2)], lo, hi)
-    first = {
-        "a": _a_image(p, lo, hi),
-        "b": b_first,
-        "z": Permutation.from_cycles([(p, p + 1, p + 2)], lo, hi),
-    }
-    if with_extra_relator:
-        mapping = first
-        kind = "Sym" if variant == "SymAGL" else "Alt"
-    else:
+
+    def images():
+        b_first = _mul_image(r, p, lo, hi)
+        if variant == "AltAGL":
+            b_first = b_first * Permutation.from_cycles([(p + 1, p + 2)], lo, hi)
+        first = {
+            "a": _a_image(p, lo, hi),
+            "b": b_first,
+            "z": Permutation.from_cycles([(p, p + 1, p + 2)], lo, hi),
+        }
+        if with_extra_relator:
+            return first
         second = {
             "a": _a_image(p, 1, p),
             "b": _mul_image(r, p, 1, p),
             "z": Permutation.identity(1, p),
         }
-        mapping = {t: ProductPair(first[t], second[t]) for t in ("a", "b", "z")}
-        kind = "SymHat" if variant == "SymAGL" else "AltTimesT"
-    ps = ParamSet(kind="Sym" if variant == "SymAGL" else "Alt",
-                  n=p + 2, p=p, r=r, s=s, alpha=None, kappa=ordb)
-    return Presentation(slp, kind, p + 2, f"agl:{variant}", ps,
-                        GeneratorImages(mapping), (lo, hi))
+        return {t: ProductPair(first[t], second[t]) for t in ("a", "b", "z")}
+
+    kind = ps.kind if with_extra_relator else (
+        "SymHat" if variant == "SymAGL" else "AltTimesT")
+    return Presentation(slp, kind, p + 2, f"agl:{variant}", ps, (lo, hi), images)
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +351,21 @@ def alt_p3(p, params=None):
     """
     ps = _intake("Alt", "P3", p + 3, params)
     x, y, z = sym("x"), sym("y"), sym("z")
-    j, jbar, k = ps.j, ps.jbar, ps.k_sl
-    h_word = y ** jbar * conj(y ** j, x) * y ** jbar * x ** ((-1) ** k)
-    half = (p + 1) // 2
-    relators = (
-        x ** 2 * (x * y) ** -3,
-        (x * y ** 4 * x * y ** half) ** 2 * y ** p * x ** (2 * (p // 3)),
+    relators = sl2.cr_relator_words(p) + (
         z ** 3,
         (z * conj(z, x)) ** 2,
         comm(y, z),
         comm(sym("h"), z),
-        (sym("h") * conj(z, x * y) * conj(z, x * y ** j)) ** half,
+        (sym("h") * conj(z, x * y) * conj(z, x * y ** ps.j)) ** ((p + 1) // 2),
     )
+    h_word = sl2.h_word(ps.j, ps.jbar, (-1) ** ps.k_sl)
     slp = Slp(("x", "y", "z"), (("h", h_word),), relators)
     lo, hi = 1, p + 3
-    t_mat, _ = sl2.gens_tu(p)
-    mapping = {
-        "x": _relabel_projective(sl2.projective_perm(t_mat, p), p, hi),
+    return Presentation(slp, "Alt", p + 3, "alt_p3", ps, (lo, hi), lambda: {
+        "x": _relabel_projective(sl2.projective_perm(sl2.gens_tu(p)[0], p), p, hi),
         "y": _a_image(p, lo, hi),
         "z": Permutation.from_cycles([(p + 1, p + 2, p + 3)], lo, hi),
-    }
-    return Presentation(slp, "Alt", p + 3, "alt_p3", ps,
-                        GeneratorImages(mapping), (lo, hi))
+    })
 
 
 def _relabel_projective(perm, p, hi):
@@ -416,7 +402,6 @@ def glued(n, kind, params=None, simplify=True):
     kind = ps.kind
     n_even = n % 2 == 0
     a, g, y, z, b, x = sym("a"), sym("g"), sym("y"), sym("z"), sym("b"), sym("x")
-    half_down = (p - 1) // 2
 
     def zw(i):
         return _z_word(z, a, i, p, simplify)
@@ -431,18 +416,12 @@ def glued(n, kind, params=None, simplify=True):
         ("b", g ** 3),
         ("z", g ** ps.kappa),
         ("h", _base_h_word(a, b, z, ps, simplify, double_b=True)),
-        ("x", z * conj(z, a) ** -1 * z),
+        ("x", dw(0, 1)),
         ("atil", conj(zw(3), zw(2) * zw(1))),
     ]
     t = sym("t")
     if kind == "Sym":
-        cbull = cw(1, half_down) * ~cw(half_down + 1, p - 1)
-        if simplify:
-            # the seam of two reduced words merges into a^((p+1)/2), past p/2
-            cbull = words.simplify(cbull, {"a": p})
-        defs.append(("cbull", cbull))
-        defs.append(("v", (sym("cbull") * dw(1, -1)) ** half_down))
-        defs.append(("t", sym("v") * b ** half_down))
+        defs.extend(_transposition_defs(a, b, z, x, p, simplify))
         c_def = (cw(2, k) if not n_even else cw(1, k)) * t
         e_def = z * a * t * ~(cw(3, k + 1) if not n_even else cw(2, k + 1))
     else:
@@ -464,15 +443,27 @@ def glued(n, kind, params=None, simplify=True):
     )
     slp = Slp(("a", "g", "y"), tuple(defs), relators)
     lo, hi = k - p - 1, p + 2
-    images = None
-    if n <= MATERIALIZE_MAX_DEGREE:
-        mapping = {
-            "a": _a_image(p, lo, hi),
-            "g": _g_image(ps, lo, hi),
-            "y": glue_map_image(p, k, kind, lo, hi),
-        }
-        images = GeneratorImages(mapping)
-    return Presentation(slp, kind, n, "glued", ps, images, (lo, hi))
+    return Presentation(slp, kind, n, "glued", ps, (lo, hi), lambda: {
+        "a": _a_image(p, lo, hi),
+        "g": _g_image(ps, lo, hi),
+        "y": glue_map_image(p, k, kind, lo, hi),
+    })
+
+
+def _transposition_defs(a, b, z, x, p, simplify):
+    """The Sym definitions cbull, v and t, where t is the transposition
+    (p+1, p+2) for p = 3 (mod 4); x names the even cycle d(0, 1)."""
+    half_down = (p - 1) // 2
+    cbull = (_c_word(z, a, x, 1, half_down, p, simplify)
+             * ~_c_word(z, a, x, half_down + 1, p - 1, p, simplify))
+    if simplify:
+        # the seam of two reduced words merges into a^((p+1)/2), past p/2
+        cbull = words.simplify(cbull, {"a": p})
+    return [
+        ("cbull", cbull),
+        ("v", (sym("cbull") * _d_word(z, a, 1, -1, p, simplify)) ** half_down),
+        ("t", sym("v") * b ** half_down),
+    ]
 
 
 def _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t, simplify):
@@ -699,7 +690,7 @@ def _image_json(val):
 def presentation_json(pres):
     images = None
     if pres.images is not None:
-        images = {name: _image_json(val) for name, val in pres.images.mapping.items()}
+        images = {name: _image_json(val) for name, val in pres.images.items()}
     return {
         "degree": pres.degree,
         "kind": pres.kind,

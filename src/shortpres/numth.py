@@ -23,7 +23,7 @@ def is_prime(m):
     m = int(m)
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if m % q == 0:
             return m == q
     d, r = m - 1, 0

@@ -129,6 +129,15 @@ def cr_relator_words(p):
     return r1, r2
 
 
+def h_word(j, jbar, last):
+    """The word y^jbar (y^j)^x y^jbar x^last on symbols x, y.
+
+    At the corrected generators and last = (-1)^k (k = p mod 3) it is the
+    diagonal witness v of element_v; the uncorrected forms use last = -1."""
+    x, y = words.sym("x"), words.sym("y")
+    return y ** jbar * words.conj(y ** j, x) * y ** jbar * x ** last
+
+
 def check_cr_relators(t, u, p):
     """Evaluate both defining relators at (t, u); return (all_identity, values)."""
     env = {"x": t, "y": u}
@@ -152,7 +161,7 @@ def element_v(p, j=None, jbar=None, corrected=True):
     if corrected and (j * k) % 2 == 1:
         raise ParityViolation(f"j*k = {j * k} is odd; replace j by j-p")
     t, u = gens_tu(p, corrected=corrected)
-    v = u ** jbar * (u ** j).conjugate(t) * u ** jbar * t ** ((-1) ** k)
+    v = words.evaluate(h_word(j, jbar, (-1) ** k), {"x": t, "y": u})
     if corrected:
         expect = Mat2p(jbar, 0, 0, j, p)
         if v != expect:
@@ -213,7 +222,8 @@ def scan_cr_generator_pairs(p):
     from .numth import derive_params
 
     ps = derive_params("Alt", "P3", p=p)
-    j, jbar = ps.j, ps.jbar
+    _, r2 = cr_relator_words(p)
+    h = h_word(ps.j, ps.jbar, -1)
     group = _all_sl2(p)
     n_pairs = 0
     n_full = 0
@@ -224,12 +234,11 @@ def scan_cr_generator_pairs(p):
             xy = x * y
             if x2 != xy * xy * xy:
                 continue
-            m = (x * y ** 4 * x * y ** ((p + 1) // 2)) ** 2 * y ** p * x ** (2 * (p // 3))
-            if not m.is_identity():
+            env = {"x": x, "y": y}
+            if not words.evaluate(r2, env).is_identity():
                 continue
             n_pairs += 1
-            h = y ** jbar * (y ** j).conjugate(x) * y ** jbar * x ** -1
-            if subgroup_order(p, [y, h]) == target:
+            if subgroup_order(p, [y, words.evaluate(h, env)]) == target:
                 n_full += 1
     return n_pairs, n_full
 

@@ -13,7 +13,8 @@ even), an upper bound on it.
 falsify_original re-evaluates the uncorrected variants of the constructions
 (wrong special-linear generator signs, wrong conjugating order in the
 degree-(p+3) relator, wrong bracketing of the transposition word) and
-records concrete non-identity witnesses.
+records concrete non-identity witnesses.  The corrected side of each target
+is built from the words and images the builders emit.
 """
 
 from __future__ import annotations
@@ -294,7 +295,6 @@ def falsify_original(which, p=11):
 
 
 def _falsify_sl2(p):
-    t0 = time.perf_counter()
     t_orig, u_orig = sl2.gens_tu(p, corrected=False)
     ok_orig, vals_orig = sl2.check_cr_relators(t_orig, u_orig, p)
     t_corr, u_corr = sl2.gens_tu(p)
@@ -309,23 +309,19 @@ def _falsify_sl2(p):
         "note": ("with the uncorrected signs the first relator evaluates to "
                  "the central involution, never the identity"),
     }
-    millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(p, "Falsification", "falsify:SL2Generators",
-                              entries, millis=millis, details=details)
+                              entries, details=details)
 
 
 def _falsify_p3(which, p):
-    t0 = time.perf_counter()
     pres = builders.alt_p3(p)
     env = pres.images
-    ps = pres.params
     x, y, z = sym("x"), sym("y"), sym("z")
     j0 = numth.group_unit_generator(p)
-    jbar0 = pow(j0, -1, p)
-    h_orig = y ** jbar0 * conj(y ** j0, x) * y ** jbar0 * x ** -1
-    h_corr = (y ** ps.jbar * conj(y ** ps.j, x) * y ** ps.jbar
-              * x ** ((-1) ** ps.k_sl))
-    h_word = h_orig if which == "P3Relator" else h_corr
+    if which == "P3Relator":
+        h_word = sl2.h_word(j0, pow(j0, -1, p), -1)
+    else:
+        h_word = pres.slp.definition_map()["h"]
     base_word = h_word * conj(z, y * x) * conj(z, y ** j0 * x)
     half = (p + 1) // 2
     base = evaluate(base_word, env)
@@ -345,35 +341,30 @@ def _falsify_p3(which, p):
         "note": ("the uncorrected conjugators put the 3-cycle factors in the "
                  "wrong point orbits, so the powered word survives"),
     }
-    millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(p + 3, "Falsification", f"falsify:{which}",
-                              entries, millis=millis, details=details)
+                              entries, details=details)
 
 
 def _falsify_transposition(p):
-    t0 = time.perf_counter()
     if not numth.is_prime(p) or p < 5 or p % 4 != 3:
         # the word is only used when negation is an odd permutation of the
         # field points, i.e. for p = 3 (mod 4)
         raise BadPrimeClass(
             f"the transposition word targets primes p = 3 (mod 4), got {p}")
-    r = numth.group_unit_generator(p)
-    lo, hi = 1, p + 2
-    a_bar = builders._a_image(p, lo, hi)
-    z_bar = Permutation.from_cycles([(p, p + 1, p + 2)], lo, hi)
-    b_bar = builders._mul_image(r, p, lo, hi)
-    env = {"a": a_bar, "z": z_bar, "b": b_bar}
-    a, z, b = sym("a"), sym("z"), sym("b")
-    xw = z * conj(z, a) ** -1 * z
+    # a, b and z act on 1..p+2 as in the degree-(p+2) Sym presentation
+    env = dict(builders.agl_examples(p, "SymAGL", with_extra_relator=True).images)
+    a, z, b, x = sym("a"), sym("z"), sym("b"), sym("x")
+    defs = [("x", builders._d_word(z, a, 0, 1, p, True))]
+    defs += builders._transposition_defs(a, b, z, x, p, True)
+    for name, word in defs:
+        env[name] = evaluate(word, env)
     half = (p - 1) // 2
-    cbull = (builders._c_word(z, a, xw, 1, half, p, True)
-             * builders._c_word(z, a, xw, half + 1, p - 1, p, True) ** -1)
     dwrd = builders._d_word(z, a, 1, -1, p, True)
+    cbull = sym("cbull")
     v_orig = cbull * (dwrd * cbull) ** (half - 2) * dwrd * cbull
-    v_corr = (cbull * dwrd) ** half
     t_orig = evaluate(v_orig * b ** half, env)
-    t_corr = evaluate(v_corr * b ** half, env)
-    claimed = Permutation.from_cycles([(p + 1, p + 2)], lo, hi)
+    t_corr = env["t"]
+    claimed = Permutation.from_cycles([(p + 1, p + 2)], 1, p + 2)
     entries = [{
         "index": 0,
         "identity": (t_orig * claimed.inverse()).is_identity(),
@@ -388,7 +379,6 @@ def _falsify_transposition(p):
         "note": ("the uncorrected bracketing leaves a product of point "
                  "transpositions instead of the top transposition"),
     }
-    millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(p + 2, "Falsification",
                               "falsify:TranspositionWord",
-                              entries, millis=millis, details=details)
+                              entries, details=details)

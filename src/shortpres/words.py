@@ -21,9 +21,8 @@ Conventions (documented once, used everywhere):
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, UnboundSymbol
 
@@ -515,22 +514,6 @@ class ProductPair:
         return math.lcm(self.left.order(), self.right.order())
 
 
-@dataclass
-class GeneratorImages:
-    """Concrete images for an Slp's generators (one shared carrier type)."""
-
-    mapping: dict = field(default_factory=dict)
-
-    def __getitem__(self, name):
-        return self.mapping[name]
-
-    def __contains__(self, name):
-        return name in self.mapping
-
-    def identity(self):
-        return next(iter(self.mapping.values())).identity_like()
-
-
 class _Evaluator:
     """Evaluates words in env, computing each distinct factor once.
 
@@ -542,7 +525,7 @@ class _Evaluator:
     """
 
     def __init__(self, env, words):
-        self.env = env.mapping if isinstance(env, GeneratorImages) else env
+        self.env = env
         self.uses = {}
         self.cache = {}  # key -> [base^|e|, base^-|e| or None]
         for w in words:
@@ -619,7 +602,7 @@ def evaluate_slp(slp, images):
     after its last use.  Returns (values, relator_values) where values maps
     generator and defined names to elements.
     """
-    mapping = dict(images.mapping if isinstance(images, GeneratorImages) else images)
+    mapping = dict(images)
     for name in slp.generators:
         if name not in mapping:
             raise UnboundSymbol(name)

@@ -7,7 +7,6 @@ outcome in lockstep.  All checks are exact; no tolerances anywhere.
 """
 
 import bisect
-import itertools
 import math
 import random
 import time
@@ -89,7 +88,7 @@ def test_criterion_02_certified_group_orders(verdict):
         for n in covered_degrees(13, 40, kind):
             pres = presentation_for(n, kind)
             expected = math.factorial(n) // (2 if kind == "Alt" else 1)
-            order = certify_order(list(pres.images.mapping.values()))
+            order = certify_order(list(pres.images.values()))
             certified += 1
             if order != expected:
                 mismatches.append((kind, n, order, expected))
@@ -409,7 +408,7 @@ def test_criterion_10_classical_baselines(verdict):
     for n in range(2, 13):
         pres = moore(n)
         _, values = evaluate_slp(pres.slp, pres.images)
-        order = certify_order(list(pres.images.mapping.values()))
+        order = certify_order(list(pres.images.values()))
         if not all(v.is_identity() for v in values):
             problems.append(f"adjacent-transposition relators at n={n}")
         if order != math.factorial(n):
@@ -417,7 +416,7 @@ def test_criterion_10_classical_baselines(verdict):
     for n in range(2, 11):
         pres = carmichael(n)
         _, values = evaluate_slp(pres.slp, pres.images)
-        order = certify_order(list(pres.images.mapping.values()))
+        order = certify_order(list(pres.images.values()))
         if not all(v.is_identity() for v in values):
             problems.append(f"three-cycle relators at degree {n + 2}")
         if order != math.factorial(n + 2) // 2:

@@ -255,7 +255,7 @@ class TestBatches:
         def broken(n, kind, simplify=True):
             pres = real(n, kind, simplify=simplify)
             if n == 20:
-                pres.images.mapping["g"] = pres.images["a"]
+                pres.images["g"] = pres.images["a"]
             return pres
 
         monkeypatch.setattr(builders, "presentation_for", broken)
@@ -277,6 +277,26 @@ class TestBatches:
         code, out, err = run(capsys, "params", "-n", "20..21", "--kind", "alt")
         assert code == 2 and "not covered" in err
         assert json.loads(out)["n"] == 20
+
+
+def test_images_are_built_on_first_read(capsys, monkeypatch):
+    """emit (slp and flat), stats and params never build generator images;
+    verify does, and a presentation builds them once."""
+    pres = builders.presentation_for(17, "Sym")
+    assert pres.images is pres.images
+
+    def unreadable(*args):
+        raise RuntimeError("generator images were built")
+
+    monkeypatch.setattr(builders, "_a_image", unreadable)
+    for argv in (("emit", "-n", "13,14,17"),
+                 ("emit", "-n", "13,14,17", "--format", "flat"),
+                 ("stats", "-n", "13,14,17"),
+                 ("params", "-n", "13,14,17")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+    with pytest.raises(RuntimeError, match="images were built"):
+        main(["verify", "-n", "17"])
 
 
 class TestExitCodes:

@@ -194,9 +194,9 @@ class TestCheckRelators:
 
     def test_failing_relator_is_reported_not_hidden(self):
         pres = base_p2(11, "Alt")
-        broken = dict(pres.images.mapping)
+        broken = dict(pres.images)
         broken["g"] = pres.images["a"]
-        pres.images.mapping = broken
+        pres.images = broken
         report = check_relators(pres)
         assert not report.all_relators_identity
         assert not report.ok

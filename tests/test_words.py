@@ -16,7 +16,6 @@ from shortpres.words import (
     Comm,
     Conj,
     Factor,
-    GeneratorImages,
     GroupWord,
     ProductPair,
     Slp,
@@ -315,7 +314,7 @@ class TestEvaluate:
             definitions=(("b", a ** 2),),
             relators=(a ** 7, sym("b") * a ** -2),
         )
-        env = GeneratorImages({"a": parse_cycles("(1,2,3,4,5,6,7)", 1, 7)})
+        env = {"a": parse_cycles("(1,2,3,4,5,6,7)", 1, 7)}
         values, rel_values = evaluate_slp(s, env)
         assert values["b"] == env["a"] ** 2
         assert [v.is_identity() for v in rel_values] == [True, True]
@@ -349,10 +348,11 @@ class TestProductPair:
         assert got.left == g.left.conjugate(h.left)
         assert got.right == g.right
 
-    def test_generator_images_identity(self):
-        env = GeneratorImages({"a": self.pair()})
-        assert env.identity().is_identity()
-        assert "a" in env and "q" not in env
+    def test_identity_like(self):
+        g = self.pair()
+        e = g.identity_like()
+        assert e.is_identity() and not g.is_identity()
+        assert e.left.degree == 3 and e.right.degree == 2
 
 
 @given(e=st.integers(-10 ** 9, 10 ** 9), m=st.integers(1, 10 ** 6))
