@@ -12,8 +12,10 @@ comma-separated mix (13,15..17).  A batch handles each degree on its own:
 a degree that is not covered (or too large to check) gets its error line
 on stderr and the others still print.  Exit codes: 0 success, 1
 verification failure, 2 unsupported degree or size limit, 3 bad
-arguments; a batch exits with 1 if any degree failed, else 2 if any was
-refused.
+arguments, 4 internal error (a construction broke one of its own
+invariants, printed as "shortpres: internal error: ..."); a batch exits
+with 1 if any degree failed, else 2 if any was refused.  An internal
+error stops the batch, whether it ran in this process or under --jobs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     BadPrimeClass,
     DegreeTooLarge,
     EnumerationTooLarge,
+    InternalInvariantViolation,
     UnsupportedDegree,
 )
 
@@ -36,6 +39,7 @@ _EXIT_OK = 0
 _EXIT_VERIFY = 1
 _EXIT_UNSUPPORTED = 2
 _EXIT_BADARGS = 3
+_EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,6 +293,9 @@ def main(argv=None):
     except _REQUEST_ERRORS as exc:
         print(f"shortpres: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
+    except InternalInvariantViolation as exc:
+        print(f"shortpres: internal error: {exc}", file=sys.stderr)
+        return _EXIT_INTERNAL
     except ValueError as exc:
         # covers bad numeric input and the remaining package errors
         print(f"shortpres: error: {exc}", file=sys.stderr)

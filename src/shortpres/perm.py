@@ -119,15 +119,14 @@ class Permutation:
         e = int(e)
         if e == 0:
             return Permutation.identity(self.lo, self.hi)
+        # square-and-multiply from the top bit down: the same gathers as
+        # from the bottom up, without a live run of squares beside the result
         base = self if e > 0 else self.inverse()
-        e = abs(e)
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
+        result = base
+        for bit in bin(abs(e))[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * base
         return result
 
     def conjugate(self, g):
@@ -186,7 +185,7 @@ class Permutation:
         return [int(i) + self.lo for i in idx]
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles())) if self.support() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def epsilon(self):
         """Parity: 0 for even, 1 for odd."""

@@ -32,7 +32,15 @@ from .errors import (
     InternalInvariantViolation,
 )
 from .perm import Permutation
-from .words import ProductPair, conj, evaluate, evaluate_slp, sym
+from .words import (
+    ProductPair,
+    Slp,
+    conj,
+    evaluate,
+    evaluate_slp,
+    relator_values,
+    sym,
+)
 
 _MAX_POINTS = 64
 
@@ -87,14 +95,15 @@ def check_relators(pres):
             f"degree {pres.degree} has no materialized images "
             f"(limit {builders.MATERIALIZE_MAX_DEGREE})")
     t0 = time.perf_counter()
-    _, values = evaluate_slp(pres.slp, pres.images)
     entries = []
-    for i, val in enumerate(values):
+    for i, val in relator_values(pres.slp, pres.images):
         entries.append({
             "index": i,
             "identity": val.is_identity(),
             "cycle_type": _cycle_type_json(val),
         })
+        del val  # free it before the next relator is evaluated
+    entries.sort(key=lambda entry: entry["index"])
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(pres.degree, pres.kind, pres.case, entries,
                               millis=millis)
@@ -326,7 +335,8 @@ def _falsify_p3(which, p):
     half = (p + 1) // 2
     base = evaluate(base_word, env)
     powered = base ** half
-    corrected_relator = evaluate_slp(pres.slp, env)[1][6]
+    corrected_relator = next(
+        val for i, val in relator_values(pres.slp, env) if i == 6)
     entries = [{
         "index": 0,
         "identity": powered.is_identity(),
@@ -352,12 +362,11 @@ def _falsify_transposition(p):
         raise BadPrimeClass(
             f"the transposition word targets primes p = 3 (mod 4), got {p}")
     # a, b and z act on 1..p+2 as in the degree-(p+2) Sym presentation
-    env = dict(builders.agl_examples(p, "SymAGL", with_extra_relator=True).images)
+    images = builders.agl_examples(p, "SymAGL", with_extra_relator=True).images
     a, z, b, x = sym("a"), sym("z"), sym("b"), sym("x")
     defs = [("x", builders._d_word(z, a, 0, 1, p, True))]
     defs += builders._transposition_defs(a, b, z, x, p, True)
-    for name, word in defs:
-        env[name] = evaluate(word, env)
+    env, _ = evaluate_slp(Slp(tuple(images), defs), images)
     half = (p - 1) // 2
     dwrd = builders._d_word(z, a, 1, -1, p, True)
     cbull = sym("cbull")

@@ -17,10 +17,18 @@ Conventions (documented once, used everywhere):
     t^v cost wl(t)+2wl(v), commutators 2wl(u)+2wl(v)); with an Slp the
     defined names expand recursively.
   * evaluation applies the left factor first, matching perm.Permutation.
+
+Evaluation has two entry points on one evaluator.  evaluate_slp returns the
+value of every generator and definition next to the relator values, for
+callers that read the definitions.  relator_values streams (index, value)
+per relator: each relator runs as soon as the names it reads exist, and
+every name and factor is freed after its last use, so a relator check holds
+only the values still to be read.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -509,8 +517,6 @@ class ProductPair:
         return self.left.is_identity() and self.right.is_identity()
 
     def order(self):
-        import math
-
         return math.lcm(self.left.order(), self.right.order())
 
 
@@ -521,15 +527,19 @@ class _Evaluator:
     key's first use, base^-|e| is its inverse, and both are dropped after
     the key's last use.  The uses are counted up front by walking the words
     as evaluation will: a key's base is entered on its first use only,
-    because every later use is served from the cache.
+    because every later use is served from the cache.  A name is read once
+    per key whose base it is, so its reads are counted on the same walk, and
+    a name leaves env after its last read.
     """
 
     def __init__(self, env, words):
-        self.env = env
         self.uses = {}
         self.cache = {}  # key -> [base^|e|, base^-|e| or None]
+        self.reads = {}  # name -> reads left
         for w in words:
             self._count(w)
+        self.sample = next(iter(env.values()), None)  # for identity_like
+        self.env = {n: v for n, v in env.items() if n in self.reads}
 
     def _count(self, word):
         for f in word.factors:
@@ -539,7 +549,9 @@ class _Evaluator:
                 continue
             self.uses[key] = 1
             base = f.base
-            if isinstance(base, Conj):
+            if isinstance(base, Sym):
+                self.reads[base.name] = self.reads.get(base.name, 0) + 1
+            elif isinstance(base, Conj):
                 self._count(base.target)
                 self._count(base.by)
             elif isinstance(base, Comm):
@@ -548,15 +560,21 @@ class _Evaluator:
             elif isinstance(base, GroupWord):
                 self._count(base)
 
+    def bind(self, name, value):
+        """Make a defined name readable, unless nothing reads it."""
+        if name in self.reads:
+            self.env[name] = value
+        return value
+
     def word(self, word):
         result = None
         for f in word.factors:
             val = self._factor(f)
             result = val if result is None else result * val
         if result is None:
-            for v in self.env.values():
-                return v.identity_like()
-            raise UnboundSymbol("<empty environment>")
+            if self.sample is None:
+                raise UnboundSymbol("<empty environment>")
+            return self.sample.identity_like()
         return result
 
     def _factor(self, f):
@@ -578,15 +596,22 @@ class _Evaluator:
 
     def _base(self, base):
         if isinstance(base, Sym):
-            if base.name not in self.env:
-                raise UnboundSymbol(base.name)
-            return self.env[base.name]
+            name = base.name
+            if name not in self.env:
+                raise UnboundSymbol(name)
+            left = self.reads[name] - 1
+            if left:
+                self.reads[name] = left
+                return self.env[name]
+            del self.reads[name]
+            return self.env.pop(name)
         if isinstance(base, Conj):
             return self.word(base.target).conjugate(self.word(base.by))
         if isinstance(base, Comm):
+            # [u,v] = u^-1 v^-1 u v = u^-1 u^v
             u = self.word(base.left)
-            v = self.word(base.right)
-            return u.inverse() * v.inverse() * u * v
+            u_v = u.conjugate(self.word(base.right))
+            return u.inverse() * u_v
         return self.word(base)
 
 
@@ -595,19 +620,47 @@ def evaluate(word, env):
     return _Evaluator(env, [word]).word(word)
 
 
+def _program(slp, images):
+    """An evaluator over all words of slp, its generators bound to images."""
+    for name in slp.generators:
+        if name not in images:
+            raise UnboundSymbol(name)
+    return _Evaluator(images, [w for _, w in slp.definitions] + list(slp.relators))
+
+
 def evaluate_slp(slp, images):
     """Evaluate all definitions (once each, in order) and all relators.
 
     Each distinct factor of the whole program is computed once and freed
     after its last use.  Returns (values, relator_values) where values maps
-    generator and defined names to elements.
+    generator and defined names to elements, all alive until the caller
+    drops them; a caller that reads only the relators streams them with
+    relator_values instead.
     """
-    mapping = dict(images)
-    for name in slp.generators:
-        if name not in mapping:
-            raise UnboundSymbol(name)
-    ev = _Evaluator(mapping, [w for _, w in slp.definitions] + list(slp.relators))
+    ev = _program(slp, images)
+    values = dict(images)
     for name, w in slp.definitions:
-        mapping[name] = ev.word(w)
-    relator_values = [ev.word(w) for w in slp.relators]
-    return mapping, relator_values
+        values[name] = ev.bind(name, ev.word(w))
+    return values, [ev.word(w) for w in slp.relators]
+
+
+def relator_values(slp, images):
+    """Yield (index, value) for each relator of slp, evaluated at images.
+
+    A relator runs straight after the last definition it reads, and every
+    name, factor and definition is freed after its last use, so only the
+    values still to be read stay alive.  Each relator is evaluated in full,
+    exactly as evaluate_slp evaluates it; only the order differs.
+    """
+    ev = _program(slp, images)
+    place = dict.fromkeys(slp.generators, 0)
+    place.update((name, i) for i, (name, _) in enumerate(slp.definitions, 1))
+    due = [[] for _ in range(len(slp.definitions) + 1)]
+    for i, w in enumerate(slp.relators):
+        due[max((place[s] for s in _free_symbols(w)), default=0)].append(i)
+    for i in due[0]:
+        yield i, ev.word(slp.relators[i])
+    for (name, w), ready in zip(slp.definitions, due[1:]):
+        ev.bind(name, ev.word(w))
+        for i in ready:
+            yield i, ev.word(slp.relators[i])

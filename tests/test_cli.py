@@ -2,17 +2,19 @@
 
 main() is driven in-process with explicit argv lists; stdout is captured
 with capsys.  Exit codes: 0 success, 1 verification failure, 2 unsupported
-degree or size limit, 3 bad arguments.
+degree or size limit, 3 bad arguments, 4 internal error.
 """
 
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 from test_builders import GOLDEN_ALT_17
 
-from shortpres import builders
+from shortpres import builders, sl2
 from shortpres.cli import main
+from shortpres.errors import InternalInvariantViolation
 
 
 def run(capsys, *argv):
@@ -323,3 +325,33 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 3
+
+    def test_internal_error_is_exit_4(self, capsys, monkeypatch):
+        def broken(p, *args, **kwargs):
+            raise InternalInvariantViolation(f"v is not diagonal modulo {p}")
+
+        monkeypatch.setattr(sl2, "element_v", broken)
+        code, out, err = run(capsys, "falsify", "--p", "11")
+        assert code == 4
+        assert "falsify:SL2Generators: falsified=True" in out
+        assert err == "shortpres: internal error: v is not diagonal modulo 11\n"
+
+    # a worker sees the patched builder only when it is forked
+    @pytest.mark.parametrize("jobs", ["1", "2"] if (
+        multiprocessing.get_start_method() == "fork") else ["1"])
+    def test_internal_error_in_a_batch_is_exit_4(self, capsys, monkeypatch,
+                                                 jobs):
+        real = builders.presentation_for
+
+        def broken(n, kind, simplify=True):
+            if n == 14:
+                raise InternalInvariantViolation(f"broken at degree {n}")
+            return real(n, kind, simplify=simplify)
+
+        monkeypatch.setattr(builders, "presentation_for", broken)
+        code, out, err = run(capsys, "verify", "-n", "13..15", "--kind", "alt",
+                             "--jobs", jobs)
+        assert code == 4
+        assert out == ("degree=13 kind=Alt case=base_p2 relators=4 "
+                       "identity=True OK\n")
+        assert err == "shortpres: internal error: broken at degree 14\n"

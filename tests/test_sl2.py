@@ -8,12 +8,14 @@ p = 1 mod 3.  All matrix values below were computed independently.
 
 import pytest
 
+from shortpres.builders import alt_p3
 from shortpres.errors import (
     BadPrimeClass,
     EnumerationTooLarge,
     InternalInvariantViolation,
     ParityViolation,
 )
+from shortpres.numth import is_prime
 from shortpres.sl2 import (
     Mat2p,
     check_cr_relators,
@@ -24,7 +26,7 @@ from shortpres.sl2 import (
     scan_cr_generator_pairs,
     subgroup_order,
 )
-from shortpres.words import bit_length
+from shortpres.words import bit_length, evaluate
 
 PRIMES = (5, 7, 11, 13, 23)
 
@@ -162,3 +164,21 @@ class TestPairScan:
         # make the uncorrected diagonal-witness word generate the full
         # upper-triangular subgroup of order 110.
         assert scan_cr_generator_pairs(11) == (1321, 0)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 200)
+                               if p % 3 and is_prime(p)])
+def test_emitted_h_is_the_diagonal_witness(p):
+    """The word h that alt_p3 emits, evaluated at the corrected matrix
+    generators, is diag(jbar, j) for the presentation's own j and jbar.
+
+    The projective images cannot see the sign of h's last factor, because
+    x^2 = -I acts trivially on the projective line; this matrix check does,
+    at every prime."""
+    pres = alt_p3(p)
+    ps = pres.params
+    env = dict(zip("xy", gens_tu(p)))
+    assert evaluate(pres.slp.definition_map()["h"], env) == Mat2p(
+        ps.jbar, 0, 0, ps.j, p)
+    for relator in pres.slp.relators[:2]:
+        assert evaluate(relator, env).is_identity()

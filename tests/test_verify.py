@@ -5,6 +5,12 @@ hand-counted subgroup orders), never values read back from the function.
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -17,6 +23,7 @@ from shortpres.builders import (
     base_p2,
     base_p2_hat,
     carmichael,
+    glued,
     moore,
     presentation_for,
 )
@@ -26,6 +33,7 @@ from shortpres.errors import (
     DomainMismatch,
     EnumerationTooLarge,
     InternalInvariantViolation,
+    UnsupportedDegree,
 )
 from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import (
@@ -36,6 +44,9 @@ from shortpres.verify import (
     falsify_original,
     verify_presentation,
 )
+from shortpres.words import evaluate_slp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def P(text, lo, hi):
@@ -207,6 +218,82 @@ class TestCheckRelators:
         pres = base_p2(10000019, "Alt")
         with pytest.raises(DegreeTooLarge):
             check_relators(pres)
+
+
+def _kept_entries(pres):
+    """The relator entries computed from evaluate_slp, which keeps every
+    definition alive and evaluates the relators in index order."""
+    _, values = evaluate_slp(pres.slp, pres.images)
+    return [{"index": i, "identity": v.is_identity(),
+             "cycle_type": verify._cycle_type_json(v)}
+            for i, v in enumerate(values)]
+
+
+class TestRelatorStream:
+    """check_relators reads the relators from words.relator_values, which
+    frees every value after its last use; its entries are the ones
+    evaluate_slp gives."""
+
+    def test_agrees_with_evaluate_slp_at_every_covered_degree(self):
+        checked = 0
+        for n in range(13, 601):
+            for kind in ("Alt", "Sym"):
+                try:
+                    pres = presentation_for(n, kind)
+                except UnsupportedDegree:
+                    continue
+                assert check_relators(pres).relators == _kept_entries(pres)
+                checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("make", [
+        lambda: base_p2(11, "Alt"), lambda: base_p2(47, "Sym"),
+        lambda: base_p2(107, "Alt"), lambda: alt_p3(5), lambda: alt_p3(11),
+        lambda: alt_p3(13), lambda: alt_p3(101), lambda: base_p2_hat(11, "Alt"),
+        lambda: base_p2_hat(23, "Sym"), lambda: base_p2_hat(59, "Alt"),
+    ])
+    def test_agrees_with_evaluate_slp_on_the_other_families(self, make):
+        pres = make()
+        assert check_relators(pres).relators == _kept_entries(pres)
+
+    def test_agrees_with_evaluate_slp_on_failing_relators(self):
+        pres = glued(20, "Sym")
+        broken = dict(pres.images)
+        broken["g"] = pres.images["a"]
+        pres.images = broken
+        entries = check_relators(pres).relators
+        assert entries == _kept_entries(pres)
+        assert not all(e["identity"] for e in entries)
+
+    @pytest.mark.parametrize("n,kind", [(200001, "Sym"), (200002, "Alt")])
+    def test_live_set_stays_within_sixteen_arrays(self, n, kind):
+        """numpy reports its array buffers to tracemalloc, so the traced
+        peak counts the full-size arrays alive at once beyond the generator
+        images, which are built before tracing starts."""
+        pres = glued(n, kind)
+        assert pres.images
+        tracemalloc.start()
+        try:
+            report = check_relators(pres)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_relators_identity
+        assert peak <= 16 * 8 * n  # sixteen int64 arrays of n points
+
+
+@pytest.mark.slow
+def test_verify_at_the_materialization_cap_stays_under_1_6_gb():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shortpres.cli", "verify", "-n", "9999999",
+         "--kind", "sym"],
+        env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" OK\n")
+    peak_bytes = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+    assert peak_bytes < 1.6e9
 
 
 class TestVerifyPresentation:

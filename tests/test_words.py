@@ -28,6 +28,7 @@ from shortpres.words import (
     exponent_bits,
     least_absolute,
     parse_word,
+    relator_values,
     simplify,
     sym,
     to_text,
@@ -487,6 +488,8 @@ def test_cached_evaluation_matches_plain_evaluation(data):
         plain[name] = plain_evaluate(w, plain, identity)
         assert values[name] == plain[name]
     assert rel_values == [plain_evaluate(w, plain, identity) for w in relators]
+    assert sorted(relator_values(slp, env), key=lambda iv: iv[0]) == list(
+        enumerate(rel_values))
 
 
 class TestCachedEvaluator:
@@ -495,9 +498,45 @@ class TestCachedEvaluator:
         for pres in (glued(17, "Alt"), glued(20, "Alt"), glued(18, "Sym"),
                      base_p2_hat(11, "Sym")):
             evaluate_slp(pres.slp, pres.images)
-        assert len(made) == 4
+            assert sorted(i for i, _ in relator_values(pres.slp, pres.images)) == [
+                *range(len(pres.slp.relators))]
+        assert len(made) == 8
         for ev in made:
             assert ev.cache == {} and ev.uses == {}
+            assert ev.reads == {} and ev.env == {}
+
+    def test_stream_runs_each_relator_after_the_names_it_reads(self):
+        slp = Slp.from_text(
+            "generators: a b\n"
+            "c := a b\n"
+            "d := c^2\n"
+            "relator: d c^-2\n"
+            "relator: a^2\n"
+            "relator: c a\n"
+            "relator: b^-1 a^-1 c\n")
+        env = {"a": parse_cycles("(1,2)", 1, 3), "b": parse_cycles("(2,3)", 1, 3)}
+        got = list(relator_values(slp, env))
+        assert [i for i, _ in got] == [1, 2, 3, 0]
+        assert dict(got) == dict(enumerate(evaluate_slp(slp, env)[1]))
+
+    def test_stream_frees_each_name_after_its_last_read(self, monkeypatch):
+        made = record_evaluators(monkeypatch)
+        slp = Slp.from_text(
+            "generators: a b\n"
+            "c := a b\n"
+            "d := c^2\n"
+            "relator: c^3\n"
+            "relator: d b\n")
+        env = {"a": parse_cycles("(1,2)", 1, 3), "b": parse_cycles("(2,3)", 1, 3)}
+        stream = relator_values(slp, env)
+        assert next(stream)[0] == 0
+        (ev,) = made
+        # a and b are read once each, by c; the factor b stays cached for
+        # the second relator, and c is still read by d
+        assert set(ev.env) == {"c"} and ev.reads == {"c": 1, "d": 1}
+        assert next(stream)[0] == 1
+        assert ev.env == {} and ev.reads == {}
+        assert set(env) == {"a", "b"}  # the caller's mapping is left alone
 
     def test_a_power_and_its_inverse_cost_one_power(self, monkeypatch):
         env = {"a": parse_cycles("(1,2,3,4,5,6,7)", 1, 7),
