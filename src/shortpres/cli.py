@@ -8,9 +8,10 @@ Subcommands:
   params    print the derived arithmetic parameters
 
 Degrees are given as a single value (17), a range (13..20), or a
-comma-separated mix (13,15..17).  A batch handles each degree on its own:
-a degree that is not covered (or too large to check) gets its error line
-on stderr and the others still print.  Exit codes: 0 success, 1
+comma-separated mix (13,15..17), read lazily.  A batch handles each degree
+on its own: a degree that is not covered (or too large to check, or to
+prove its glue prime) gets its error line on stderr and the others still
+print.  Exit codes: 0 success, 1
 verification failure, 2 unsupported degree or size limit, 3 bad
 arguments, 4 internal error (a construction broke one of its own
 invariants, printed as "shortpres: internal error: ..."); a batch exits
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
+import itertools
 import json
 import math
 import sys
@@ -49,20 +52,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_degrees(text):
-    out = []
+    """The degrees the text names, in order, as an iterator: the whole text
+    is checked first, and no range is built."""
+    spans = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise ValueError("no degrees given")
-    return out
+        lo_s, dots, hi_s = part.partition("..")
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+        if hi < lo:
+            raise ValueError(f"empty range {part!r}")
+        spans.append(range(lo, hi + 1))
+    return itertools.chain.from_iterable(spans)
 
 
 def _kinds(arg):
@@ -75,6 +76,7 @@ def _add_common(sub):
     sub.add_argument("--kind", choices=("alt", "sym", "both"), default="both")
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="shortpres",
                      description="short presentations of alternating and "
@@ -125,8 +127,8 @@ def _write(out_path, text):
 
 
 def _requests(args):
-    degrees = _parse_degrees(args.degree)
-    return [(n, kind) for n in degrees for kind in _kinds(args.kind)]
+    return ((n, kind) for n in _parse_degrees(args.degree)
+            for kind in _kinds(args.kind))
 
 
 # A request that raises one of these is reported on stderr and skipped; the
@@ -172,16 +174,18 @@ class _Batch:
 def _cmd_emit(args):
     fmt = args.format
     reqs = _requests(args)
+    first = list(itertools.islice(reqs, 2))  # one json record, or many
+    many = len(first) > 1
 
     def emit_one(req):
         pres = builders.presentation_for(*req, simplify=args.simplify)
-        if fmt == "json" and len(reqs) > 1:
+        if fmt == "json" and many:
             return json.dumps(builders.presentation_json(pres),
                               sort_keys=False) + "\n"
         return builders.emit(pres, fmt)
 
     batch = _Batch()
-    blocks = list(batch.run(emit_one, reqs))
+    blocks = list(batch.run(emit_one, itertools.chain(first, reqs)))
     _write(args.out, "\n".join(blocks) if fmt == "slp" else "".join(blocks))
     return batch.exit_code()
 
@@ -201,7 +205,7 @@ def _verify_one(task):
 
 
 def _cmd_verify(args):
-    tasks = [(n, kind, args.depth, args.simplify) for n, kind in _requests(args)]
+    tasks = ((n, kind, args.depth, args.simplify) for n, kind in _requests(args))
     batch = _Batch()
     reports = []
     for line, ok, rep in batch.run(_verify_one, tasks, args.jobs):

@@ -82,4 +82,6 @@ class EnumerationTooLarge(ShortPresError):
 
 
 class DegreeTooLarge(ShortPresError):
-    """A verification step was asked to run above its configured degree bound."""
+    """A degree is above a bound the package can check or prove at: the
+    size limit of a verification step, or the range where is_prime is
+    proven exact."""

@@ -6,21 +6,45 @@ on the family (degree p+2 base case, degree p+3 case, or the glued range).
 Every derived field is re-checked by validate_params, which also accepts
 hand-picked alternatives (e.g. a different generator r) as long as they
 satisfy the defining congruences.
+
+All arithmetic is proven, never probabilistic.  is_prime is a deterministic
+Miller-Rabin test, exact below PSI_12 and refusing (DegreeTooLarge) at or
+above it, so glued degrees reach about 2 * PSI_12 = 6.4e23.  The unit
+generators need the distinct primes of p-1: small ones come off by trial
+division, and what remains is split by Brent's variant of Pollard rho, each
+factor kept only once is_prime proves it prime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .errors import BadPrimeClass, InternalInvariantViolation, UnsupportedDegree
+from .errors import (
+    BadPrimeClass,
+    DegreeTooLarge,
+    InternalInvariantViolation,
+    UnsupportedDegree,
+)
 
-# Deterministic Miller-Rabin witnesses for all m < 2^64 (Sorenson & Webster).
+# The first twelve primes.  As Miller-Rabin witnesses they decide primality
+# exactly for every m < PSI_12 (Sorenson & Webster 2015), the least strong
+# pseudoprime to all of them; no such bound is proven above it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
+# Trial division strips the primes below this bound, so a p-1 below its
+# square (every p of a degree up to about 2 * 10^6) factors by division alone.
+_TRIAL_BOUND = 1000
+# Rho steps between two gcds.
+_RHO_BLOCK = 128
 
 
 def is_prime(m):
-    """Deterministic primality test for 0 <= m < 2**64."""
+    """Deterministic primality test for m < PSI_12; DegreeTooLarge above."""
     m = int(m)
+    if m >= PSI_12:
+        raise DegreeTooLarge(
+            f"primality of {m} is not proven: the test is exact only below {PSI_12}")
     if m < 2:
         return False
     for q in _MR_WITNESSES:
@@ -44,18 +68,62 @@ def is_prime(m):
 
 
 def _prime_factors(m):
-    """Distinct prime factors by trial division (m fits well under 2**64)."""
+    """The distinct prime factors of m >= 1, ascending.
+
+    Trial division takes the primes below _TRIAL_BOUND and stops as soon as
+    d*d > m, when what is left is 1 or prime.  Otherwise the cofactor has no
+    prime factor below the bound and is split by rho until every part is
+    proven prime.
+    """
     out = []
     d = 2
-    while d * d <= m:
+    while d * d <= m and d < _TRIAL_BOUND:
         if m % d == 0:
             out.append(d)
             while m % d == 0:
                 m //= d
         d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
+    if d * d > m:
+        return out + [m] if m > 1 else out
+    big = set()
+    parts = [m]
+    while parts:
+        x = parts.pop()
+        if is_prime(x):
+            big.add(x)
+        else:
+            f = _rho(x)
+            parts += [f, x // f]
+    return out + sorted(big)
+
+
+def _rho(m):
+    """A proper factor of the odd composite m (Brent 1980): the walk
+    x -> x^2 + c from 2, one gcd per _RHO_BLOCK steps, and the next c when
+    the walk only finds m itself."""
+    for c in range(1, 100):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += _RHO_BLOCK
+            r *= 2
+        if g == m:  # the block overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+    raise InternalInvariantViolation(f"rho found no factor of {m}")
 
 
 def group_unit_generator(p, squares_only=False):
@@ -87,8 +155,11 @@ def find_glue_prime(n, kind):
     lo = (n + 3) // 2  # ceil((n+2)/2) in exact integers
     p = lo + ((11 - lo) % 12)
     while p <= hi:
-        if is_prime(p):
-            return p
+        try:
+            if is_prime(p):
+                return p
+        except DegreeTooLarge as exc:
+            raise DegreeTooLarge(f"degree {n} is too large: {exc}") from None
         p += 12
     raise UnsupportedDegree(n, f"no usable prime in [{lo}, {hi}] for kind {kind}")
 

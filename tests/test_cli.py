@@ -1,26 +1,47 @@
 """Command-line behavior: output formats, exit codes, determinism.
 
 main() is driven in-process with explicit argv lists; stdout is captured
-with capsys.  Exit codes: 0 success, 1 verification failure, 2 unsupported
+with capsys.  A few tests compare with a fresh interpreter.  Exit codes: 0 success, 1 verification failure, 2 unsupported
 degree or size limit, 3 bad arguments, 4 internal error.
 """
 
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from test_builders import GOLDEN_ALT_17
 
-from shortpres import builders, sl2
+from shortpres import builders, cli, sl2
 from shortpres.cli import main
 from shortpres.errors import InternalInvariantViolation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(code, *args, timeout=120):
+    """Run python code in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def run_alone(*argv):
+    proc = run_python("import sys; from shortpres.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *argv)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestEmit:
@@ -76,6 +97,52 @@ class TestEmit:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_json_lines_follow_the_request_count(self, capsys):
+        # two requests give one line each, even when one of them is refused
+        code, out, _ = run(capsys, "emit", "-n", "13", "--format", "json")
+        assert code == 0
+        assert [json.loads(line)["kind"] for line in out.splitlines()] == [
+            "Alt", "Sym"]
+        code, out, _ = run(capsys, "emit", "-n", "12,13", "--kind", "alt",
+                           "--format", "json")
+        assert code == 2
+        assert out.count("\n") == 1 and json.loads(out)["degree"] == 13
+
+    @pytest.mark.parametrize("n", [str(10 ** 18), "8075780279211968901"])
+    def test_degrees_near_2_64_emit_in_time(self, capsys, n):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "emit", "-n", n, "--kind", "both")
+        assert time.perf_counter() - t0 < 10
+        assert (code, err) == (0, "")
+        assert out.count(f"# degree: {n}\n") == 2
+
+
+def test_degrees_stream_without_building_the_range():
+    # under a 1 GiB address-space limit, a list of the range would fail
+    proc = run_python("""if True:
+        import argparse, resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from shortpres import cli
+        reqs = cli._requests(argparse.Namespace(degree="13..1000000000000000",
+                                                kind="both"))
+        print(next(reqs), next(reqs), next(reqs))
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(13, 'Alt') (13, 'Sym') (14, 'Alt')\n"
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    """Commands run one after another in one process print what each
+    prints alone, in a fresh interpreter."""
+    assert cli._build_parser() is cli._build_parser()
+    for first, second in (
+            (("emit", "-n", "17", "--format", "flat"), ("emit", "-n", "17")),
+            (("verify", "-n", "13..14", "--depth", "order"),
+             ("verify", "-n", "13..14"))):
+        alone = [run_alone(*first), run_alone(*second)]
+        assert alone[0] != alone[1]
+        assert [run(capsys, *first), run(capsys, *second)] == alone
 
 
 # sha256 of the stdout of `emit -n 13..20,25..44,49..1024 --kind both`, every
@@ -306,6 +373,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "emit", "-n", "12")
         assert code == 2
         assert "not covered" in err
+
+    @pytest.mark.parametrize("kind", ["alt", "sym", "both"])
+    def test_degree_above_the_proven_primality_bound_is_exit_2(self, capsys, kind):
+        huge = str(10 ** 30)
+        code, out, err = run(capsys, "emit", "-n", huge, "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err.count(f"shortpres: degree {huge} is too large: ") == len(
+            cli._kinds(kind))
+        code, out, err = run(capsys, "emit", "-n", f"13,{huge}", "--kind", kind)
+        assert code == 2 and "too large" in err
+        assert out.startswith("# degree: 13\n")
 
     def test_bad_degree_string_is_exit_3(self, capsys):
         code, _, err = run(capsys, "emit", "-n", "13..x")

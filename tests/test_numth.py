@@ -1,21 +1,33 @@
 """Arithmetic parameter derivation against independently computed values."""
 
+import math
+import random
+
 import pytest
 
+from shortpres import numth
 from shortpres.builders import params_for
 from shortpres.errors import (
     BadPrimeClass,
+    DegreeTooLarge,
     InternalInvariantViolation,
     UnsupportedDegree,
 )
 from shortpres.numth import (
+    PSI_12,
     ParamSet,
+    _prime_factors,
     derive_params,
     find_glue_prime,
     group_unit_generator,
     is_prime,
     validate_params,
 )
+
+# The largest prime p = 11 (mod 12) below PSI_12, and the largest degree whose
+# glue prime it is: the next degree starts its search at p + 1.
+TOP_GLUE_PRIME = 318665857834031151167387
+TOP_DEGREE = 2 * TOP_GLUE_PRIME - 2
 
 
 class TestPrimality:
@@ -29,6 +41,100 @@ class TestPrimality:
         assert not is_prime(500000001)
         assert is_prime(2 ** 61 - 1)
         assert not is_prime(2 ** 61 + 1)
+
+    def test_refuses_at_and_above_the_proven_bound(self):
+        # PSI_12 is composite, yet a strong probable prime to all twelve
+        # witnesses: above the bound the test would answer wrongly
+        assert PSI_12 == 399165290221 * 798330580441
+        for m in (PSI_12, PSI_12 + 1, 10 ** 30):
+            with pytest.raises(DegreeTooLarge):
+                is_prime(m)
+        assert is_prime(TOP_GLUE_PRIME)
+        assert not any(is_prime(m) for m in range(TOP_GLUE_PRIME + 12, PSI_12, 12))
+
+
+def _trial_division_primes(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    return [d for d in range(limit) if sieve[d]]
+
+
+def _factor_by_division(m, primes):
+    """The plain reference: divide by every prime up to sqrt(m)."""
+    out = []
+    for d in primes:
+        if d * d > m:
+            break
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+    return out + [m] if m > 1 else out
+
+
+def _assert_factorization(m, qs):
+    assert qs == sorted(set(qs))
+    assert all(is_prime(q) for q in qs)
+    rest = m
+    for q in qs:
+        assert rest % q == 0
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
+
+
+P31, Q31 = 2147483629, 2147483647  # the two largest primes below 2^31
+P32, Q32 = 4294967279, 4294967291  # the two largest primes below 2^32
+
+
+class TestPrimeFactors:
+    def test_agrees_with_trial_division(self):
+        primes = _trial_division_primes(10 ** 6)
+        rng = random.Random(12)
+        for _ in range(2000):
+            m = rng.randrange(1, 10 ** 12)
+            assert _prime_factors(m) == _factor_by_division(m, primes)
+
+    @pytest.mark.parametrize("m,want", [
+        (1, []),
+        (2, [2]),
+        (2 ** 63, [2]),
+        (2 ** 61 - 1, [2 ** 61 - 1]),
+        (TOP_GLUE_PRIME, [TOP_GLUE_PRIME]),
+        (P31 * Q31, [P31, Q31]),
+        (P32 * Q32, [P32, Q32]),
+        (2 * 3 * P32 * Q32, [2, 3, P32, Q32]),
+        (1009 * P31 * Q31, [1009, P31, Q31]),
+        (Q32 ** 2, [Q32]),
+        (1009 ** 5, [1009]),
+        (1009 * 1013 * 1019, [1009, 1013, 1019]),
+        (1009 ** 3 * 1013 ** 2 * 65521, [1009, 1013, 65521]),
+        (999983 ** 2 * 2 ** 10, [2, 999983]),
+    ])
+    def test_hard_and_edge_cases(self, m, want):
+        assert _prime_factors(m) == want
+        _assert_factorization(m, want)
+
+    def test_glue_primes_minus_one(self):
+        rng = random.Random(13)
+        for n in [rng.randrange(10 ** 6, TOP_DEGREE) for _ in range(40)] + [TOP_DEGREE]:
+            p = find_glue_prime(n, "Sym")
+            _assert_factorization(p - 1, _prime_factors(p - 1))
+
+    def test_small_values_factor_by_division_alone(self, monkeypatch):
+        # every p-1 of a degree up to 2 * 10^6 factors without a primality
+        # test or a rho walk
+        def refuse(m):
+            raise AssertionError(f"{m} left trial division")
+
+        monkeypatch.setattr(numth, "is_prime", refuse)
+        monkeypatch.setattr(numth, "_rho", refuse)
+        primes = _trial_division_primes(1000)
+        for m in list(range(1, 5000)) + list(range(10 ** 6 - 5000, 10 ** 6)):
+            assert _prime_factors(m) == _factor_by_division(m, primes)
 
 
 class TestUnitGenerator:
@@ -94,8 +200,16 @@ class TestGluePrime:
 
     @pytest.mark.parametrize("kind", ["Alt", "Sym"])
     def test_params_above_float_precision_validate(self, kind):
-        ps = validate_params(params_for(547941574903438726, kind))
-        assert ps.k == 364
+        for n, k in ((547941574903438726, 364), (8075780279211968901, 29)):
+            ps = validate_params(params_for(n, kind))
+            assert ps.k == k
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    def test_largest_degree_below_the_proven_bound(self, kind):
+        assert find_glue_prime(TOP_DEGREE, kind) == TOP_GLUE_PRIME
+        assert validate_params(params_for(TOP_DEGREE, kind)).p == TOP_GLUE_PRIME
+        with pytest.raises(DegreeTooLarge, match=f"degree {TOP_DEGREE + 1} "):
+            find_glue_prime(TOP_DEGREE + 1, kind)
 
 
 class TestDeriveParams:
