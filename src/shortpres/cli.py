@@ -198,8 +198,9 @@ def _verify_one(task):
             f"relators={len(report.relators)} "
             f"identity={report.all_relators_identity}")
     if report.order_certified:
-        line += (f" order={report.order} "
-                 f"expected={report.details['expected_order']}")
+        order = verify.printable_order(report.order, n)
+        expected = verify.printable_order(report.details["expected_order"], n)
+        line += f" order={order} expected={expected}"
     line += " OK" if report.ok else " FAIL"
     return line, report.ok, report.to_json()
 

@@ -187,9 +187,24 @@ class Permutation:
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))
 
+    def cycle_minima(self):
+        """Offset of the least point on each offset's cycle, by pointer
+        doubling: after k rounds least[i] is the least of the 2^k offsets
+        from i on, and a round that changes nothing has covered every cycle."""
+        least = np.arange(self.images.size)
+        step = self.images
+        while True:
+            lower = np.minimum(least, least[step])
+            if np.array_equal(lower, least):
+                return least
+            least = lower
+            step = step[step]
+
     def epsilon(self):
-        """Parity: 0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
+        """Parity: 0 for even, 1 for odd (the degree minus the number of
+        cycles, fixed points included)."""
+        least = self.cycle_minima()
+        return (least.size - np.count_nonzero(least == np.arange(least.size))) % 2
 
     def sign(self):
         return -1 if self.epsilon() else 1

@@ -1,10 +1,14 @@
 """Machine verification of presentations.
 
 check_relators evaluates every relator of a presentation under its concrete
-generator images and reports cycle types.  certify_order runs a
-deterministic Schreier-Sims construction (no randomization) and returns the
-exact group order as an arbitrary-precision integer.  The order is
-certified by one of two facts: every Schreier generator of the resulting
+generator images and reports cycle types.  certify_order returns the
+exact group order as an arbitrary-precision integer, proved in one of two
+ways.  The Jordan certificate, O(n) in numpy at any degree, shows that the
+group is transitive and holds a prime cycle that makes it primitive and, by
+Jordan's theorems, contains A_n; the parities of the generators then decide
+between n!/2 and n!.  Where no such witness is found, a deterministic
+Schreier-Sims construction (no randomization, at most 64 points) certifies
+the order by one of two facts: every Schreier generator of the resulting
 chain has been sifted to the identity, which by Schreier's lemma pins the
 order exactly; or the product of the orbit lengths, a lower bound on the
 order, has reached the parity bound n! (or n!/2 when every generator is
@@ -19,9 +23,13 @@ is built from the words and images the builders emit.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import builders, numth, sl2
 from .errors import (
@@ -43,6 +51,9 @@ from .words import (
 )
 
 _MAX_POINTS = 64
+# orders at or above this are written as n! or n!/2: their decimal would pass
+# the interpreter's default int-to-str limit (from degree 1559 on)
+_DECIMAL_LIMIT = 10 ** sys.int_info.default_max_str_digits
 
 
 @dataclass
@@ -74,12 +85,36 @@ class VerificationReport:
             "case": self.case,
             "relators": self.relators,
             "order_certified": self.order_certified,
-            "order": self.order,
+            "order": printable_order(self.order, self.degree),
             "millis": self.millis,
         }
         if self.details:
-            out["details"] = self.details
+            out["details"] = dict(self.details)
+            if "expected_order" in self.details:
+                out["details"]["expected_order"] = printable_order(
+                    self.details["expected_order"], self.degree)
         return out
+
+
+@functools.lru_cache(maxsize=1)
+def _factorial(n):
+    """n!, kept for the last n: one report asks for it several times, and at
+    n = 10^6 it takes seconds."""
+    return math.factorial(n)
+
+
+def printable_order(order, n):
+    """The order itself while its decimal is short enough to print, else the
+    text n! or n!/2, the only orders that long (None stays None)."""
+    if order is None or order < _DECIMAL_LIMIT:
+        return order
+    full = _factorial(n)
+    if order == full:
+        return f"{n}!"
+    if order == full // 2:
+        return f"{n}!/2"
+    raise InternalInvariantViolation(f"an order of degree {n} is neither "
+                                     f"{n}! nor {n}!/2 but too long to print")
 
 
 def _cycle_type_json(value):
@@ -215,16 +250,106 @@ def _chain_order(gens, bound):
     return math.prod(len(lv.transversal) for lv in levels)
 
 
-def certify_order(gens, expected=None):
-    """Exact order of the group generated by permutations.  Deterministic;
-    domain limited to 64 points.
+# ---------------------------------------------------------------------------
+# Jordan certificate
+#
+# Let G act transitively on n points and hold a q-cycle w, q prime, 2q > n.
+# Then G is primitive: in a block system with blocks of b points, 1 < b < n,
+# w either moves q blocks, and so q*b >= 2q > n points, or fixes every block
+# and keeps its q points inside one block of b <= n/2 points.  A primitive
+# group holding a q-cycle with q <= n - 3 (Wielandt, Finite Permutation
+# Groups, Thm 13.9), or holding a 3-cycle (Thm 13.3), contains A_n.
 
-    The order is certified in one of two ways.  Either every Schreier
-    generator of the stabilizer chain has been sifted to the identity, which
-    by Schreier's lemma pins the order to the product of the orbit lengths;
-    or that product has reached the parity bound: n! in general, n!/2 when
-    every generator is even.  The product never exceeds the group order and
-    the group order never exceeds the bound, so equality proves both.
+
+class CertifiedOrder(int):
+    """A group order; `certificate` names how it was proved."""
+
+    def __new__(cls, order, certificate):
+        self = super().__new__(cls, order)
+        self.certificate = certificate
+        return self
+
+    def __getnewargs__(self):  # for pickle and copy
+        return int(self), self.certificate
+
+
+def _cycle_lengths(least):
+    """Lengths of the nontrivial cycles, given the cycle minima."""
+    counts = np.bincount(least)
+    return counts[counts > 1]
+
+
+def _transitive(minima):
+    """Whether the permutations with these cycle minima act transitively.
+    Each round gives every cycle of every generator the least label on it
+    (a scatter-min onto the cycle minima), then jumps labels to their own
+    labels; labels are points of the same orbit, never above their point,
+    so a round that changes nothing leaves each orbit its least point."""
+    comp = np.arange(minima[0].size)
+    changed = True
+    while changed:
+        changed = False
+        for least in minima:
+            low = comp.copy()
+            np.minimum.at(low, least, comp)
+            new = np.minimum(comp, low[least])
+            jumped = new[new]
+            while not np.array_equal(jumped, new):
+                new, jumped = jumped, jumped[jumped]
+            if not np.array_equal(new, comp):
+                comp, changed = new, True
+    return not comp.any()
+
+
+def _three_cycle(gens, lengths):
+    """Whether some generator x has one cycle of length divisible by 3, of
+    length 3, so that x^m, m the lcm of its other cycle lengths, is a
+    3-cycle; the power is computed and its cycles checked."""
+    for g, lens in zip(gens, lengths):
+        if lens[lens % 3 == 0].tolist() != [3]:
+            continue
+        power = g ** math.lcm(*lens[lens % 3 != 0].tolist())
+        if _cycle_lengths(power.cycle_minima()).tolist() == [3]:
+            return True
+    return False
+
+
+def _jordan(gens, minima, lengths):
+    """The certificate that <gens> contains A_n, or None: a generator that is
+    one q-cycle, q prime and 2q > n, in a transitive group, with q <= n - 3
+    or beside a 3-cycle."""
+    n = minima[0].size
+    primes = [int(lens[0]) for lens in lengths
+              if lens.size == 1 and 2 * lens[0] > n
+              and numth.is_prime(int(lens[0]))]
+    if not primes or not _transitive(minima):
+        return None
+    small = [q for q in primes if q <= n - 3]
+    if small:
+        return {"method": "jordan", "q": small[0], "three_cycle": False}
+    if _three_cycle(gens, lengths):
+        return {"method": "jordan", "q": primes[0], "three_cycle": True}
+    return None
+
+
+def certify_order(gens, expected=None):
+    """Exact order of the group generated by permutations.  Deterministic.
+    The result is a CertifiedOrder, an int whose `certificate` says which
+    proof below holds.
+
+    The Jordan certificate applies at any degree: the group is transitive,
+    a generator is one q-cycle with q prime and 2q > n, and either
+    q <= n - 3 or some computed power of a generator is a 3-cycle.  The
+    group then contains A_n, and its order is n! if a generator is odd,
+    n!/2 if not.
+
+    Without such a witness the domain is limited to 64 points, and a
+    stabilizer chain certifies the order in one of two ways.  Either every
+    Schreier generator has been sifted to the identity, which by Schreier's
+    lemma pins the order to the product of the orbit lengths; or that
+    product has reached the parity bound: n! in general, n!/2 when every
+    generator is even.  The product never exceeds the group order and the
+    group order never exceeds the bound, so equality proves both.
     """
     for g in gens:
         if not isinstance(g, Permutation):
@@ -238,25 +363,33 @@ def certify_order(gens, expected=None):
             if (g.lo, g.hi) != (lo, hi):
                 raise DomainMismatch("generators act on different point ranges")
         n = hi - lo + 1
-        if n > _MAX_POINTS:
+        minima = [g.cycle_minima() for g in gens]
+        lengths = [_cycle_lengths(least) for least in minima]
+        bound = _factorial(n)
+        if not any((lens.sum() - lens.size) % 2 for lens in lengths):
+            bound //= 2
+        certificate = _jordan(gens, minima, lengths)
+        if certificate is not None:
+            order = bound
+        elif n > _MAX_POINTS:
             raise EnumerationTooLarge(
                 f"order certification limited to {_MAX_POINTS} points, "
                 f"got {n}")
-        bound = math.factorial(n)
-        if not any(g.epsilon() for g in gens):
-            bound //= 2
-        order = _chain_order([tuple(g.images.tolist()) for g in gens], bound)
+        else:
+            certificate = {"method": "schreier-sims"}
+            order = _chain_order([tuple(g.images.tolist()) for g in gens],
+                                 bound)
     else:
-        order = 1
+        order, certificate = 1, {"method": "trivial"}
     if expected is not None and order != expected:
         raise InternalInvariantViolation(
             f"certified order {order}, expected {expected}")
-    return order
+    return CertifiedOrder(order, certificate)
 
 
 def expected_symmetry_order(pres):
     """n!/2 or n! according to what the presentation claims to present."""
-    full = math.factorial(pres.degree)
+    full = _factorial(pres.degree)
     if pres.kind == "Sym" or pres.case == "moore":
         return full
     if pres.kind == "Alt" or pres.case == "carmichael":
@@ -277,8 +410,9 @@ def verify_presentation(pres, depth="relators"):
         else:
             t0 = time.perf_counter()
             order = certify_order([pres.images[t] for t in pres.slp.generators])
-            report.order = order
+            report.order = int(order)
             report.order_certified = True
+            report.details["certificate"] = order.certificate
             report.details["expected_order"] = expected
             report.details["order_matches"] = order == expected
             report.millis += int((time.perf_counter() - t0) * 1000)

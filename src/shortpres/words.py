@@ -76,7 +76,7 @@ class GroupWord:
 
     def __pow__(self, e):
         e = int(e)
-        if e == 0:
+        if e == 0 or not self.factors:
             return GroupWord()
         if e == 1:
             return self
@@ -314,8 +314,9 @@ class _Parser:
             self.take(")")
             if w.is_empty():
                 raise InternalInvariantViolation("empty parentheses")
-            if len(w.factors) == 1:
+            if len(w.factors) == 1 and _ungroup(w) is w:
                 return w
+            # keep a group around a group: "((a b))^c" conjugates "(a b)"
             return GroupWord((Factor(w, 1),))
         if tok == "[":
             self.take()

@@ -9,6 +9,9 @@ inside a built presentation and returns the labels that do not match.
 The private word constructors from the builders module are imported on
 purpose: these tests pin down the exact words the builder assembles.
 
+chain_order runs the stabilizer chain directly, beside the Jordan
+certificate that certify_order tries first.
+
 The last section is a standalone evaluator on plain dicts for the
 degree-(p+3) relator words.  It rebuilds the generator images from their
 closed forms and multiplies them itself, so a cycle type it reports does
@@ -16,10 +19,18 @@ not rest on shortpres.perm, shortpres.words or shortpres.sl2.
 """
 
 import itertools
+import math
 import random
 
-from shortpres.builders import _c_word, _d_word, _z_word
+from shortpres.builders import (
+    _c_word,
+    _d_word,
+    _z_word,
+    covered_degrees,
+    presentation_for,
+)
 from shortpres.perm import Permutation
+from shortpres.verify import _chain_order, certify_order
 from shortpres.words import evaluate, evaluate_slp, sym
 
 A, Z, X = sym("a"), sym("z"), sym("x")
@@ -153,6 +164,39 @@ def claim_failures_both(pres, rng=None):
     return tuple(
         fails + ([] if za_y == expected_za_conj(p, k, lo, hi, ex) else [tail])
         for ex in (exchanged, False))
+
+
+# ---------------------------------------------------------------------------
+# the two order certificates side by side
+
+
+def chain_order(gens):
+    """The stabilizer chain's order, with the parity bound certify_order
+    gives it, called directly so that no Jordan certificate answers first."""
+    gens = [g for g in gens if not g.is_identity()]
+    bound = math.factorial(gens[0].degree)
+    if not any(g.epsilon() for g in gens):
+        bound //= 2
+    return _chain_order([tuple(g.images.tolist()) for g in gens], bound)
+
+
+def certificate_disagreements(lo, hi):
+    """(kind, n, Jordan order, chain order, certificate) at each covered
+    degree in [lo, hi] where the Jordan certificate is not the one used or
+    either order misses n!/2 (Alt) or n! (Sym); and the number of degrees
+    compared."""
+    bad, compared = [], 0
+    for kind in ("Alt", "Sym"):
+        for n in covered_degrees(lo, hi, kind):
+            pres = presentation_for(n, kind)
+            gens = [pres.images[t] for t in pres.slp.generators]
+            want = math.factorial(n) // (2 if kind == "Alt" else 1)
+            order, chain = certify_order(gens), chain_order(gens)
+            compared += 1
+            if (order.certificate["method"] != "jordan"
+                    or order != want or chain != want):
+                bad.append((kind, n, int(order), chain, order.certificate))
+    return bad, compared
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ degree or size limit, 3 bad arguments, 4 internal error.
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -206,6 +207,32 @@ class TestVerify:
                            "--depth", "order")
         assert code == 0
         assert "order=3113510400 expected=3113510400" in out
+
+    def test_order_depth_certifies_above_64_points(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "64..66", "--kind",
+                             "sym", "--depth", "order")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "degree=64", "degree=65", "degree=66"]
+        assert all(line.endswith(" OK") for line in lines)
+        assert f"order={math.factorial(66)} " in lines[2]
+
+    def test_orders_past_4300_digits_are_written_as_factorials(
+            self, capsys, tmp_path):
+        # 1558! has 4300 decimal digits and 1559! has 4303
+        target = tmp_path / "reports.json"
+        code, out, err = run(capsys, "verify", "-n", "1558..1559", "--kind",
+                             "both", "--depth", "order", "--out", str(target))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert f"order={math.factorial(1558) // 2} " in lines[0]
+        assert lines[2].endswith(" order=1559!/2 expected=1559!/2 OK")
+        assert lines[3].endswith(" order=1559! expected=1559! OK")
+        reports = json.loads(target.read_text())
+        assert reports[1]["order"] == math.factorial(1558)
+        assert [(r["order"], r["details"]["expected_order"])
+                for r in reports[2:]] == [("1559!/2",) * 2, ("1559!",) * 2]
 
     def test_parallel_jobs_match_serial(self, capsys):
         argv = ("verify", "-n", "13..16", "--kind", "both")

@@ -138,3 +138,28 @@ def test_power_matches_repeated_product(im, e):
     for _ in range(abs(e)):
         acc = acc * base
     assert g ** e == acc
+
+
+def _walk_parity_and_minima(g):
+    """Parity and cycle minima (as offsets) from the cycles() walk."""
+    parity = sum(len(c) - 1 for c in g.cycles()) % 2
+    least = np.arange(g.degree)
+    for c in g.cycles():
+        least[[x - g.lo for x in c]] = min(c) - g.lo
+    return parity, least
+
+
+@pytest.mark.parametrize("lo", [1, 0, -7, 1000])
+def test_cycle_labelling_agrees_with_the_walk(lo):
+    rng = np.random.default_rng(20261018 + lo)
+    perms = [Permutation.identity(lo, lo),
+             Permutation.identity(lo, lo + 9),
+             Permutation(np.roll(np.arange(lo, lo + 257), 1), lo),
+             Permutation(np.roll(np.arange(lo, lo + 1024), -1), lo)]
+    for n in [1, 2, 3, 5, 8, 13, 64, 65, 1000, 4097]:
+        for _ in range(6):
+            perms.append(Permutation(rng.permutation(n) + lo, lo))
+    for g in perms:
+        parity, least = _walk_parity_and_minima(g)
+        assert g.epsilon() == parity
+        assert np.array_equal(g.cycle_minima(), least)

@@ -6,6 +6,7 @@ hand-counted subgroup orders), never values read back from the function.
 
 import math
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import certificate_disagreements, chain_order
 from shortpres import verify
 from shortpres.builders import (
     agl_examples,
@@ -57,6 +59,10 @@ def _cycle(first, last):
     return "(" + ",".join(map(str, range(first, last + 1))) + ")"
 
 
+def _method(gens):
+    return certify_order(gens).certificate["method"]
+
+
 def _closure_size(images):
     """Elements of the group generated by 0-based image tuples, by
     breadth-first search over products."""
@@ -81,9 +87,18 @@ class TestCertifyOrder:
         assert certify_order(gens) == 120
         assert certify_order(gens, expected=120) == 120
 
+    def test_result_is_an_int_naming_its_certificate(self):
+        got = certify_order([P("(1,2)", 1, 5), P("(1,2,3,4,5)", 1, 5)])
+        assert isinstance(got, int)
+        assert got.certificate == {"method": "schreier-sims"}
+        again = pickle.loads(pickle.dumps(got))
+        assert (again, again.certificate) == (120, got.certificate)
+        assert certify_order([]).certificate == {"method": "trivial"}
+
     def test_alternating_group(self):
         gens = [P("(1,2,3)", 1, 4), P("(2,3,4)", 1, 4)]
         assert certify_order(gens) == 12
+        assert chain_order(gens) == 12
 
     def test_cyclic_and_trivial(self):
         assert certify_order([P("(1,2,3,4,5,6)", 1, 6)]) == 6
@@ -103,9 +118,11 @@ class TestCertifyOrder:
         pres = base_p2(11, "Alt")
         gens = [pres.images[t] for t in pres.slp.generators]
         assert certify_order(gens) == math.factorial(13) // 2
+        assert chain_order(gens) == math.factorial(13) // 2
         pres = presentation_for(16, "Sym")
         gens = [pres.images[t] for t in pres.slp.generators]
         assert certify_order(gens) == math.factorial(16)
+        assert chain_order(gens) == math.factorial(16)
 
     def test_conjugated_generators_keep_the_order(self):
         c = P("(1,3,7)(2,6)(4,5)", 1, 7)
@@ -131,6 +148,8 @@ class TestCertifyOrder:
         gens = [P(_cycle(1, 11), 1, 12), P("(3,7,11,8)(4,10,5,6)", 1, 12),
                 P("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 1, 12)]
         assert certify_order(gens) == 95040
+        # an 11-cycle, q = n - 1, and no 3-cycle
+        assert _method(gens) == "schreier-sims"
 
     def test_mathieu_group_m24(self):
         gens = [
@@ -141,6 +160,8 @@ class TestCertifyOrder:
               "(11,17)(13,22)(15,19)", 1, 24),
         ]
         assert certify_order(gens) == 244823040
+        # a 23-cycle, q = n - 1, and no 3-cycle
+        assert _method(gens) == "schreier-sims"
 
     @pytest.mark.parametrize("first,long_cycle,n,order", [
         ("(1,2)", (1, 30), 30, math.factorial(30)),
@@ -153,6 +174,7 @@ class TestCertifyOrder:
                                                      n, order):
         gens = [P(first, 1, n), P(_cycle(*long_cycle), 1, n)]
         assert certify_order(gens) == order
+        assert chain_order(gens) == order
 
     @pytest.mark.parametrize("gens,order", [
         ([P("(1,2)", 1, 12), P(_cycle(1, 12), 1, 12)], math.factorial(12)),
@@ -169,7 +191,7 @@ class TestCertifyOrder:
             return real_mul(a, b)
 
         monkeypatch.setattr(verify, "_mul", counting_mul)
-        assert certify_order(gens) == order
+        assert chain_order(gens) == order
         stopped = len(products)
         products.clear()
         tuples = [tuple(g.images.tolist()) for g in gens]
@@ -184,7 +206,75 @@ class TestCertifyOrder:
     def test_matches_brute_force_closure(self, case):
         lo, images = case
         gens = [Permutation([x + lo for x in im], lo) for im in images]
-        assert certify_order(gens) == _closure_size(images)
+        size = _closure_size(images)
+        assert certify_order(gens) == size
+        if any(not g.is_identity() for g in gens):
+            assert chain_order(gens) == size
+
+    # Groups that hold some of the witnesses but not all: the certificate
+    # must decline and the chain give the order.
+    @pytest.mark.parametrize("cycles,n,order", [
+        # S_7 wr S_2: imprimitive, its 7-cycle has q = n/2
+        (["(1,2,3)", "(1,2)", _cycle(1, 7),
+          "(1,8)(2,9)(3,10)(4,11)(5,12)(6,13)(7,14)"], 14,
+         2 * math.factorial(7) ** 2),
+        # S_11 x S_3: intransitive, with an 11-cycle and a 3-cycle
+        ([_cycle(1, 11), "(1,2)", "(12,13,14)", "(12,13)"], 14,
+         math.factorial(11) * 6),
+        # PSL(2,8) on the projective line: a 7-cycle, q = n - 2, no 3-cycle
+        (["(1,2,3,4,5,6,7)", "(1,8)(2,4)(3,7)(5,6)",
+          "(2,7)(3,6)(4,5)(8,9)"], 9, 504),
+    ], ids=["S7wrS2", "S11xS3", "PSL2_8"])
+    def test_certificate_declines_without_all_witnesses(self, cycles, n,
+                                                        order):
+        gens = [P(c, 1, n) for c in cycles]
+        if order < 10**4:
+            assert _closure_size([tuple(g.images.tolist())
+                                  for g in gens]) == order
+        assert certify_order(gens) == order
+        assert _method(gens) == "schreier-sims"
+
+    @pytest.mark.parametrize("cycles,n,order,q,three", [
+        # a 97-cycle, q <= n - 3, and an odd 4-cycle joining the rest
+        ([_cycle(1, 97), "(1,98,99,100)"], 100, math.factorial(100), 97,
+         False),
+        # a 101-cycle, q = n, beside a 3-cycle; both even
+        ([_cycle(1, 101), "(1,2,3)"], 101, math.factorial(101) // 2, 101,
+         True),
+        # an 89-cycle, q = n - 2; the 3-cycle is a power of the second
+        # generator, whose other cycle lengths are 4 and 5
+        ([_cycle(1, 89), "(2,90,91)(4,5,6,7)(10,20,30,40,50)"], 91,
+         math.factorial(91), 89, True),
+    ], ids=["S100", "A101", "S91"])
+    def test_certificate_above_the_chain_limit(self, cycles, n, order, q,
+                                               three):
+        gens = [P(c, 1, n) for c in cycles]
+        got = certify_order(gens)
+        assert got == order
+        assert got.certificate == {"method": "jordan", "q": q,
+                                   "three_cycle": three}
+
+    def test_a_power_is_a_witness_only_once_checked(self, monkeypatch):
+        # base_p2 at degree 13 needs its 3-cycle from a power of `g`
+        pres = base_p2(11, "Alt")
+        gens = [pres.images[t] for t in pres.slp.generators]
+        assert certify_order(gens).certificate["three_cycle"]
+        monkeypatch.setattr(Permutation, "__pow__", lambda g, e: g)
+        got = certify_order(gens)
+        assert got == math.factorial(13) // 2
+        assert got.certificate == {"method": "schreier-sims"}
+
+    @pytest.mark.slow
+    def test_certificates_agree_at_every_covered_degree_41_to_64(self):
+        bad, compared = certificate_disagreements(41, 64)
+        assert compared == 40 and not bad
+
+    def test_intransitive_group_above_the_chain_limit_is_refused(self):
+        # a 67-cycle and a 3-cycle that leave points 68..70 apart
+        gens = [P(_cycle(1, 67), 1, 70), P("(1,2,3)", 1, 70),
+                P("(68,69,70)", 1, 70)]
+        with pytest.raises(EnumerationTooLarge):
+            certify_order(gens)
 
 
 class TestCheckRelators:
@@ -325,9 +415,29 @@ class TestVerifyPresentation:
         assert not report.ok
 
     def test_baseline_presentations_certify(self):
-        assert verify_presentation(moore(6), depth="order").order == 720
+        report = verify_presentation(moore(6), depth="order")
+        assert report.order == 720
+        assert report.details["certificate"] == {"method": "schreier-sims"}
         report = verify_presentation(carmichael(5), depth="order")
         assert report.order == math.factorial(7) // 2
+        assert report.details["certificate"] == {"method": "schreier-sims"}
+
+    @pytest.mark.parametrize("n,kind,three", [
+        # base_p2: `a` is a p-cycle, p = n - 2, and a power of `g` the 3-cycle
+        (13, "Alt", True), (49, "Sym", True),
+        # glued and alt_p3: a p-cycle with p <= n - 3
+        (14, "Sym", False), (14, "Alt", False),
+        (1000, "Alt", False), (1001, "Sym", False),
+    ])
+    def test_order_depth_names_the_certificate(self, n, kind, three):
+        pres = presentation_for(n, kind)
+        report = verify_presentation(pres, depth="order")
+        assert report.ok and type(report.order) is int
+        assert report.order == math.factorial(n) // (2 if kind == "Alt" else 1)
+        q = pres.params.p
+        assert report.details["certificate"] == {
+            "method": "jordan", "q": q, "three_cycle": three}
+        assert report.to_json()["details"]["certificate"]["q"] == q
 
     def test_expected_symmetry_order_table(self):
         assert expected_symmetry_order(presentation_for(14, "Sym")) == math.factorial(14)

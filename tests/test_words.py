@@ -5,7 +5,7 @@ conventions documented in the words module docstring.
 """
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from shortpres import words
@@ -57,6 +57,11 @@ class TestConstruction:
     def test_pow_zero_is_empty(self):
         assert (a ** 0).is_empty()
         assert ((a * b) ** 0).is_empty()
+
+    def test_pow_of_the_empty_word_is_empty(self):
+        # no empty group, which would print as "(1)^3"
+        assert GroupWord() ** 3 == GroupWord()
+        assert (a * ~a) ** -2 == GroupWord()
 
     def test_pow_one_is_identity_operation(self):
         assert (a * b) ** 1 == a * b
@@ -555,3 +560,60 @@ class TestCachedEvaluator:
         assert powers == [5]
         ab_val = env["a"] * env["b"]
         assert got == ab_val ** 5 * env["b"] * ab_val ** -5
+
+
+# ---------------------------------------------------------------------------
+# SLP text and JSON round trips
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+
+
+def built_words(names):
+    """Words made by the public constructors over the given names.  Every
+    operand of a conjugate or a commutator is nonempty, as in every word
+    the builders make: the text format writes the empty word as 1, which
+    only stands for a whole word."""
+    nonempty = st.deferred(lambda: words_.filter(lambda w: not w.is_empty()))
+    words_ = st.recursive(
+        st.sampled_from(names).map(sym),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: t[0] * t[1]),
+            st.tuples(inner, st.integers(-40, 40)).map(lambda t: t[0] ** t[1]),
+            inner.map(lambda w: ~w),
+            st.tuples(nonempty, nonempty).map(lambda t: conj(*t)),
+            st.tuples(nonempty, nonempty).map(lambda t: comm(*t)),
+        ),
+        max_leaves=8)
+    return words_
+
+
+@st.composite
+def random_slps(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
+    split = draw(st.integers(1, len(names)))
+    gens, defined = names[:split], names[split:]
+    defs = []
+    for i, name in enumerate(defined):
+        defs.append((name, draw(built_words(gens + defined[:i]))))
+    rels = draw(st.lists(built_words(names), max_size=4))
+    return Slp(tuple(gens), tuple(defs), tuple(rels))
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(random_slps())
+# a grouped word as a conjugation operand is written "((a b))"
+@example(Slp(("a", "b"), (("t", ~((a * b) ** -1)),),
+             (conj(sym("t") ** -1 * b, ~((a * b) ** -1)),
+              conj(~((a * b) ** -1), b))))
+# a power of the empty word is the empty word, written "1"
+@example(Slp(("a",), (("c", (a * ~a) ** 2),), ()))
+def test_random_slps_round_trip_through_text_and_json(slp):
+    import json
+
+    for again in (Slp.from_text(slp.to_text()),
+                  Slp.from_json(json.loads(json.dumps(slp.to_json())))):
+        assert again.generators == slp.generators
+        assert again.definitions == slp.definitions
+        assert again.relators == slp.relators
