@@ -22,11 +22,13 @@ error stops the batch, whether it ran in this process or under --jobs.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import builders, sl2, verify
@@ -70,6 +72,17 @@ def _kinds(arg):
     return ("Alt", "Sym") if arg == "both" else (arg.capitalize(),)
 
 
+def _jobs(text):
+    """The --jobs value: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_common(sub):
     sub.add_argument("--degree", "-n", required=True,
                      help="degree, range lo..hi, or comma list")
@@ -98,8 +111,9 @@ def _build_parser():
                        default="relators")
     p_ver.add_argument("--simplify", action=argparse.BooleanOptionalAction,
                        default=True)
-    p_ver.add_argument("--jobs", type=int, default=1,
-                       help="verify degrees in parallel processes")
+    p_ver.add_argument("--jobs", type=_jobs, default=1,
+                       help="verify degrees in up to this many parallel "
+                            "processes, at most one per usable CPU")
     p_ver.add_argument("--out", help="also write the reports as JSON")
 
     p_stats = subs.add_parser("stats", help="CSV of presentation sizes")
@@ -136,6 +150,13 @@ def _requests(args):
 _REQUEST_ERRORS = (UnsupportedDegree, DegreeTooLarge, EnumerationTooLarge)
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 class _Batch:
     """Runs one function per request, in request order, and keeps the worst
     outcome: exit 1 if any request failed, else 2 if any was refused."""
@@ -146,12 +167,19 @@ class _Batch:
 
     def run(self, fn, tasks, jobs=1):
         """Yield fn(task) for each task it can handle; print the error of
-        each one it cannot."""
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
-                futures = [pool.submit(fn, t) for t in tasks]
-                for fut in futures:
-                    yield from self._outcome(fut.result)
+        each one it cannot.  With jobs > 1, up to that many worker
+        processes (no more than the usable CPUs) run the tasks, with at
+        most two per worker submitted and not yet yielded."""
+        workers = min(jobs, _usable_cpus())
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+                pending = collections.deque()
+                for t in tasks:
+                    if len(pending) == 2 * workers:
+                        yield from self._outcome(pending.popleft().result)
+                    pending.append(pool.submit(fn, t))
+                while pending:
+                    yield from self._outcome(pending.popleft().result)
         else:
             for t in tasks:
                 yield from self._outcome(fn, t)

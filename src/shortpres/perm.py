@@ -5,12 +5,19 @@ Products apply the LEFT factor first: x^(s*t) = (x^s)^t, so
 (1,2)*(2,3) = (1,3,2).  Conjugation is s^g = g^-1*s*g, which relabels
 cycles: (x1,...,xk)^g = (x1^g,...,xk^g).
 
-A Permutation stores `images`, a read-only numpy int64 array of 0-based
-offsets: images[i] = (lo + i)^perm - lo.  The group operations index
-these offsets directly (a product is one gather, an inverse one scatter),
-with no shift back and forth, so they stay cheap up to degrees in the
-millions.  Absolute points appear only at the edges: the constructor,
-__call__, cycles, support and __str__.
+A Permutation stores only a window of its domain: an offset `start` and
+`win`, a read-only numpy int64 array that is itself a bijection of
+[0, len(win)), with win[i] = (b + i)^perm - b for b = lo + start.  Every
+point outside [b, b + len(win)) is fixed; the identity has an empty
+window.  A built permutation is trimmed to the 64-point blocks that hold
+the points it moves, and a result's window is the hull of its operands'
+windows, so a permutation that moves only a part of a large domain costs
+nothing outside it.  Operands on the same window (the usual case) need
+no padding: a product is one gather, an inverse one scatter, with no
+shift back and forth, so they stay cheap up to degrees in the millions.
+`images`, the full array of offsets images[i] = (lo + i)^perm - lo, is
+built each time it is read.  Absolute points appear only at the edges:
+the constructor, __call__, cycles, support and __str__.
 """
 
 from __future__ import annotations
@@ -25,10 +32,44 @@ from .errors import DomainMismatch, OverlappingCycles, PointOutOfDomain
 _CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\)")
 
 
+# A window starts and stops on a multiple of this many offsets, or at the
+# end of the domain.  Permutations of up to this many points then share
+# one window, and so do those whose moved hulls differ by a few points
+# (a and g of a construction), so a product of them needs no padding.
+_BLOCK = 64
+
+
+def _arange(n):
+    return np.arange(n, dtype=np.int64)
+
+
+def _blocks(first, stop, size):
+    """[first, stop) rounded out to whole blocks within [0, size)."""
+    return first // _BLOCK * _BLOCK, min(-(-stop // _BLOCK) * _BLOCK, size)
+
+
+def _trim(offsets):
+    """(s, w): the offsets of a bijection of [0, len(offsets)) cut to the
+    blocks [s, s + len(w)) that hold the points it moves, w relative to s."""
+    moved = offsets != _arange(offsets.size)
+    if not moved.any():
+        return 0, _arange(0)
+    first, stop = _blocks(int(moved.argmax()),
+                          offsets.size - int(moved[::-1].argmax()), offsets.size)
+    return first, offsets[first:stop] - first
+
+
+def _embed(win, off, size):
+    """A fresh array of `size` offsets, fixed but for win written at off."""
+    arr = _arange(size)
+    arr[off:off + win.size] = win + off if off else win
+    return arr
+
+
 class Permutation:
     """A bijection of [lo, hi], composed left-to-right."""
 
-    __slots__ = ("images", "lo")
+    __slots__ = ("lo", "degree", "start", "win")
 
     def __init__(self, images, lo=1):
         """Wrap the absolute images of the points lo, lo+1, ...; they must
@@ -47,32 +88,42 @@ class Permutation:
             or not (np.bincount(shifted, minlength=arr.size) == 1).all()
         ):
             raise DomainMismatch(f"images are not a bijection of [{lo}, {hi}]")
-        shifted.flags.writeable = False
-        self.images = shifted
-        self.lo = lo
+        start, win = _trim(shifted)
+        self._set(win, start, lo, arr.size)
 
-    @classmethod
-    def _trusted(cls, offsets, lo):
-        """Internal: wrap 0-based offsets already known to be a bijection."""
-        self = object.__new__(cls)
-        offsets.flags.writeable = False
-        self.images = offsets
+    def _set(self, win, start, lo, degree):
+        win.flags.writeable = False
+        self.win = win
+        self.start = start
         self.lo = lo
-        return self
+        self.degree = degree
+
+    def _like(self, win, start):
+        """Internal: a permutation of self's domain from a window already
+        known to be a bijection of [0, len(win))."""
+        other = object.__new__(Permutation)
+        other._set(win, start, self.lo, self.degree)
+        return other
 
     @property
     def hi(self):
-        return self.lo + self.images.size - 1
+        return self.lo + self.degree - 1
 
     @property
-    def degree(self):
-        return self.images.size
+    def images(self):
+        """The full read-only array of offsets, images[i] = (lo + i)^self - lo,
+        built on each read."""
+        full = _embed(self.win, self.start, self.degree)
+        full.flags.writeable = False
+        return full
 
     @classmethod
     def identity(cls, lo, hi):
         if hi < lo:
             raise DomainMismatch(f"empty domain [{lo}, {hi}]")
-        return cls._trusted(np.arange(hi - lo + 1, dtype=np.int64), lo)
+        ident = object.__new__(cls)
+        ident._set(_arange(0), 0, lo, hi - lo + 1)
+        return ident
 
     @classmethod
     def from_cycles(cls, cycles, lo, hi):
@@ -82,7 +133,7 @@ class Permutation:
         or across cycles) raises OverlappingCycles; a point outside
         [lo, hi] raises PointOutOfDomain.
         """
-        arr = np.arange(hi - lo + 1, dtype=np.int64)
+        moving = []
         seen = set()
         for cyc in cycles:
             pts = list(cyc)
@@ -92,25 +143,57 @@ class Permutation:
                 if x in seen:
                     raise OverlappingCycles(x)
                 seen.add(x)
+            if len(pts) > 1:
+                moving.append(pts)
+        ident = cls.identity(lo, hi)
+        if not moving:
+            return ident
+        start, stop = _blocks(min(min(pts) for pts in moving) - lo,
+                              max(max(pts) for pts in moving) - lo + 1,
+                              ident.degree)
+        arr = _arange(stop - start)
+        base = lo + start
+        for pts in moving:
             for i, x in enumerate(pts):
-                arr[x - lo] = pts[(i + 1) % len(pts)] - lo
-        return cls._trusted(arr, lo)
+                arr[x - base] = pts[(i + 1) % len(pts)] - base
+        return ident._like(arr, start)
 
     def _check_domain(self, other):
-        if self.lo != other.lo or self.images.size != other.images.size:
+        if self.lo != other.lo or self.degree != other.degree:
             raise DomainMismatch(
                 f"domains [{self.lo}, {self.hi}] and [{other.lo}, {other.hi}] differ"
             )
 
+    def _pair(self, other):
+        """self's and other's windows on one window, and its start: the
+        shared window if they have one, else the hull of both, padded with
+        fixed points.  An empty window sits at the other one's start."""
+        self._check_domain(other)
+        a, b = self.win, other.win
+        s, t = self.start, other.start
+        if s == t and a.size == b.size:
+            return a, b, s
+        if not a.size:
+            s = t
+        elif not b.size:
+            t = s
+        start = min(s, t)
+        size = max(s + a.size, t + b.size) - start
+        if a.size != size:
+            a = _embed(a, s - start, size)
+        if b.size != size:
+            b = _embed(b, t - start, size)
+        return a, b, start
+
     def __mul__(self, other):
         """self*other applies self first: x^(self*other) = (x^self)^other."""
-        self._check_domain(other)
-        return Permutation._trusted(other.images[self.images], self.lo)
+        a, b, start = self._pair(other)
+        return self._like(b[a], start)
 
     def inverse(self):
-        arr = np.empty_like(self.images)
-        arr[self.images] = np.arange(self.images.size, dtype=np.int64)
-        return Permutation._trusted(arr, self.lo)
+        arr = np.empty_like(self.win)
+        arr[self.win] = _arange(self.win.size)
+        return self._like(arr, self.start)
 
     def __invert__(self):
         return self.inverse()
@@ -118,61 +201,84 @@ class Permutation:
     def __pow__(self, e):
         e = int(e)
         if e == 0:
-            return Permutation.identity(self.lo, self.hi)
-        # square-and-multiply from the top bit down: the same gathers as
-        # from the bottom up, without a live run of squares beside the result
-        base = self if e > 0 else self.inverse()
-        result = base
-        for bit in bin(abs(e))[3:]:
-            result = result * result
+            return self.identity_like()
+        # square-and-multiply from the top bit down on the bare window: the
+        # same gathers as from the bottom up, without a live run of squares
+        # beside the result.  Two buffers are written in turn, because a
+        # fresh array per step costs a page fault per page at large
+        # windows; mode="clip" writes straight into `out` (the default mode
+        # buffers it), and clips nothing, as the indices are in range.
+        base = (self if e > 0 else self.inverse()).win
+        bits = bin(abs(e))[3:]
+        if not bits:
+            return self._like(base, self.start)
+        result, spare = base.copy(), np.empty_like(base)
+        for bit in bits:
+            result.take(result, out=spare, mode="clip")
+            result, spare = spare, result
             if bit == "1":
-                result = result * base
-        return result
+                base.take(result, out=spare, mode="clip")
+                result, spare = spare, result
+        return self._like(result, self.start)
 
     def conjugate(self, g):
         """self^g = g^-1 * self * g, i.e. self with points relabeled by g."""
-        self._check_domain(g)
-        arr = np.empty_like(self.images)
-        arr[g.images] = g.images[self.images]
-        return Permutation._trusted(arr, self.lo)
+        a, b, start = self._pair(g)
+        arr = np.empty_like(a)
+        arr[b] = b[a]
+        return self._like(arr, start)
 
     def __call__(self, point):
         if not self.lo <= point <= self.hi:
             raise PointOutOfDomain(point, self.lo, self.hi)
-        return int(self.images[point - self.lo]) + self.lo
+        i = point - self.lo - self.start
+        if 0 <= i < self.win.size:
+            return int(self.win[i]) + self.lo + self.start
+        return int(point)
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.lo == other.lo and np.array_equal(self.images, other.images)
+        if self.lo != other.lo or self.degree != other.degree:
+            return False
+        a, b, _ = self._pair(other)
+        return np.array_equal(a, b)
 
     def __hash__(self):
-        return hash((self.lo, self.images.tobytes()))
+        # the blocks it moves, so that equal permutations stored on
+        # different windows hash alike
+        start, win = _trim(self.win)
+        return hash((self.lo, self.degree, self.start + start if win.size else 0,
+                     win.tobytes()))
 
     def is_identity(self):
-        return bool((self.images == np.arange(self.images.size)).all())
+        return bool((self.win == _arange(self.win.size)).all())
 
     def identity_like(self):
         return Permutation.identity(self.lo, self.hi)
 
+    def _moved(self):
+        """Offsets within the window of the points self moves, ascending."""
+        return np.flatnonzero(self.win != _arange(self.win.size))
+
     def cycles(self):
         """Canonical cycle decomposition: fixed points dropped, each cycle
         starting at its least point, cycles sorted by least point."""
-        img = self.images
-        lo = self.lo
+        img = self.win
+        base = self.lo + self.start
         seen = set()
         out = []
-        for start in np.nonzero(img != np.arange(img.size))[0].tolist():
-            if start in seen:
+        for first in self._moved().tolist():
+            if first in seen:
                 continue
-            cyc = [start]
-            seen.add(start)
-            nxt = int(img[start])
-            while nxt != start:
+            cyc = [first]
+            seen.add(first)
+            nxt = int(img[first])
+            while nxt != first:
                 cyc.append(nxt)
                 seen.add(nxt)
                 nxt = int(img[nxt])
-            out.append(tuple(x + lo for x in cyc))
+            out.append(tuple(x + base for x in cyc))
         return out
 
     def cycle_type(self):
@@ -181,18 +287,19 @@ class Permutation:
 
     def support(self):
         """The points actually moved, ascending."""
-        idx = np.nonzero(self.images != np.arange(self.images.size))[0]
-        return [int(i) + self.lo for i in idx]
+        base = self.lo + self.start
+        return [int(i) + base for i in self._moved()]
 
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))
 
-    def cycle_minima(self):
-        """Offset of the least point on each offset's cycle, by pointer
-        doubling: after k rounds least[i] is the least of the 2^k offsets
-        from i on, and a round that changes nothing has covered every cycle."""
-        least = np.arange(self.images.size)
-        step = self.images
+    def _window_minima(self):
+        """Offset within the window of the least point on each window
+        offset's cycle, by pointer doubling: after k rounds least[i] is the
+        least of the 2^k offsets from i on, and a round that changes nothing
+        has covered every cycle."""
+        least = _arange(self.win.size)
+        step = self.win
         while True:
             lower = np.minimum(least, least[step])
             if np.array_equal(lower, least):
@@ -200,11 +307,16 @@ class Permutation:
             least = lower
             step = step[step]
 
+    def cycle_minima(self):
+        """Offset of the least point on each offset's cycle, over the whole
+        domain; a point outside the window is its own minimum."""
+        return _embed(self._window_minima(), self.start, self.degree)
+
     def epsilon(self):
-        """Parity: 0 for even, 1 for odd (the degree minus the number of
-        cycles, fixed points included)."""
-        least = self.cycle_minima()
-        return (least.size - np.count_nonzero(least == np.arange(least.size))) % 2
+        """Parity: 0 for even, 1 for odd (the number of points minus the
+        number of cycles, fixed points included, within the window)."""
+        least = self._window_minima()
+        return (least.size - np.count_nonzero(least == _arange(least.size))) % 2
 
     def sign(self):
         return -1 if self.epsilon() else 1

@@ -262,6 +262,97 @@ class TestVerify:
         assert all(e["identity"] for r in reports for e in r["relators"])
 
 
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: runs a task in this process when
+    its result is read, and records the largest number of tasks submitted
+    and not yet read."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = self.in_flight = self.most_in_flight = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        return _FakeFuture(self, fn, args)
+
+
+class _FakeFuture:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.fn(*self.args)
+
+
+class TestJobs:
+    """--jobs N runs on at most min(N, usable CPUs) workers, with at most
+    two tasks per worker submitted ahead of the one being printed."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        def make(max_workers):
+            made.append(_FakePool(max_workers))
+            return made[-1]
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", make)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        return made
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "-8", "two"])
+    def test_jobs_below_one_is_exit_3(self, capsys, pools, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-n", "13", f"--jobs={jobs}"])
+        assert exc.value.code == 3
+        assert "argument --jobs" in capsys.readouterr().err
+        assert pools == []
+
+    def test_workers_are_capped_at_the_usable_cpus(self, capsys, pools):
+        argv = ("verify", "-n", "17..24", "--kind", "both")
+        code, serial, serial_err = run(capsys, *argv)
+        assert code == 2 and serial_err.count("not covered") == 8
+        for jobs, workers in (("2", 2), ("3", 3), ("64", 3)):
+            assert run(capsys, *argv, "--jobs", jobs) == (2, serial, serial_err)
+            assert pools[-1].max_workers == workers
+            assert pools[-1].most_in_flight <= 2 * workers
+            assert pools[-1].submitted == 16
+
+    def test_one_usable_cpu_runs_in_this_process(self, capsys, pools,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        code, out, _ = run(capsys, "verify", "-n", "13", "--jobs", "4")
+        assert code == 0 and out.endswith(" OK\n")
+        assert pools == []
+
+    def test_a_huge_range_submits_only_a_few_tasks(self, capsys, pools,
+                                                   monkeypatch):
+        seen = []
+
+        def fake_verify(task):
+            seen.append(task[0])
+            if len(seen) == 5:
+                raise InternalInvariantViolation("stop")
+            return f"degree={task[0]}", True, {}
+
+        monkeypatch.setattr(cli, "_verify_one", fake_verify)
+        code, out, err = run(capsys, "verify", "-n", f"13..{10**12}",
+                             "--kind", "sym", "--jobs", "2")
+        assert code == 4 and err == "shortpres: internal error: stop\n"
+        assert out.splitlines() == [f"degree={n}" for n in range(13, 17)]
+        assert seen == list(range(13, 18))
+        assert pools[0].submitted <= 5 + 2 * 2
+
+
 class TestStats:
     def test_csv_header_and_frozen_row(self, capsys):
         code, out, _ = run(capsys, "stats", "-n", "13", "--kind", "alt")

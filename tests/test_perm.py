@@ -5,7 +5,7 @@ Products apply the left factor first throughout, so (1,2)(2,3) = (1,3,2).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from shortpres.errors import (
@@ -163,3 +163,117 @@ def test_cycle_labelling_agrees_with_the_walk(lo):
         parity, least = _walk_parity_and_minima(g)
         assert g.epsilon() == parity
         assert np.array_equal(g.cycle_minima(), least)
+
+
+class TestWindows:
+    """A permutation stores only the window of points it can move."""
+
+    def test_built_permutations_keep_only_the_blocks_they_move(self):
+        """A window starts and stops on a multiple of 64 offsets, or at
+        the end of the domain."""
+        g = Permutation.from_cycles([(100, 102), (500,)], 1, 1000)
+        assert (g.start, g.win.size) == (64, 64)
+        assert g.images.tolist() == [
+            101 if i == 99 else 99 if i == 101 else i for i in range(1000)]
+        h = Permutation(np.r_[np.arange(1, 990), 1000, 990:1000], 1)
+        assert (h.start, h.win.size) == (960, 40)
+        assert h.cycles() == [(990, *range(1000, 990, -1))]
+        assert Permutation.identity(1, 10).win.size == 0
+        assert Permutation.from_cycles([(4,)], 1, 10).win.size == 0
+        small = Permutation.from_cycles([(3, 5)], 1, 10)
+        assert (small.start, small.win.size) == (0, 10)
+
+    def test_equal_permutations_on_different_windows(self):
+        g = Permutation.from_cycles([(3, 5)], 1, 1000)
+        h = Permutation.from_cycles([(800, 900)], 1, 1000)
+        wide = g * h * h  # stored on the hull of both windows
+        assert wide.win.size > g.win.size
+        assert wide == g and hash(wide) == hash(g)
+        assert (h * h).is_identity() and h * h == Permutation.identity(1, 1000)
+        assert hash(h * h) == hash(Permutation.identity(1, 1000))
+        assert wide != h and g != Permutation.from_cycles([(3, 5)], 1, 1001)
+        ident = Permutation.identity(1, 1000)
+        for p in (ident * h, h * ident, h.conjugate(ident), ident.conjugate(h)):
+            assert (p.start, p.win.size) == (h.start, h.win.size)
+
+
+def _dense_cycles(img, lo):
+    seen, out = set(), []
+    for i in range(img.size):
+        if i in seen or img[i] == i:
+            continue
+        cyc, j = [], i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j + lo)
+            j = int(img[j])
+        out.append(tuple(cyc))
+    return out
+
+
+def _dense_power(img, e):
+    """img^e, each point stepped e places along its cycle."""
+    out = np.arange(img.size)
+    for c in _dense_cycles(img, 0):
+        for i, x in enumerate(c):
+            out[x] = c[(i + e) % len(c)]
+    return out
+
+
+@st.composite
+def _windowed(draw, n):
+    """Offsets of a permutation of n points: the identity, one that may
+    move any point, or one that fixes a margin on each side."""
+    img = np.arange(n)
+    shape = draw(st.sampled_from(["identity", "full", "window"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "full":
+        img = rng.permutation(n)
+    elif shape == "window":
+        first = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(first + 1, min(n, first + 40)))
+        img[first:stop] = first + rng.permutation(stop - first)
+    return img
+
+
+@st.composite
+def _windowed_pair(draw):
+    lo = draw(st.integers(-6, 6))
+    n = draw(st.integers(1, 300))
+    return lo, draw(_windowed(n)), draw(_windowed(n))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(_windowed_pair(),
+       st.one_of(st.integers(-40, 40), st.integers(10**12, 10**18),
+                 st.integers(-10**18, -10**12)))
+def test_windows_agree_with_the_dense_reference(pair, e):
+    """Each operation on stored windows matches plain full-array numpy,
+    also on results stored on the hull of two different windows (degrees
+    above 64 points, where windows of 64-point blocks can differ)."""
+    lo, x, y = pair
+    f, g = Permutation(x + lo, lo), Permutation(y + lo, lo)
+    conj = np.empty_like(x)
+    conj[y] = y[x]
+    cases = [(f, x), (g, y), (f * g, y[x]), (f.inverse(), np.argsort(x)),
+             (f.conjugate(g), conj),
+             (f ** e, _dense_power(x, e)),
+             (f * g * g.inverse(), x)]
+    ident = np.arange(x.size)
+    for perm, img in cases:
+        assert perm.images.tolist() == img.tolist()
+        assert not perm.images.flags.writeable
+        assert perm == Permutation(img + lo, lo)
+        assert hash(perm) == hash(Permutation(img + lo, lo))
+        assert perm.is_identity() == bool((img == ident).all())
+        cycles = _dense_cycles(img, lo)
+        assert perm.cycles() == cycles
+        assert perm.support() == sorted(pt for c in cycles for pt in c)
+        assert perm.epsilon() == sum(len(c) - 1 for c in cycles) % 2
+        least = np.arange(x.size)
+        for c in cycles:
+            least[[pt - lo for pt in c]] = min(c) - lo
+        assert perm.cycle_minima().tolist() == least.tolist()
+        assert [perm(pt) for pt in range(lo, lo + x.size)] == (img + lo).tolist()
+    assert (f == g) == (x.tolist() == y.tolist())
