@@ -28,7 +28,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 
 from . import builders, sl2, verify
@@ -39,6 +38,7 @@ from .errors import (
     InternalInvariantViolation,
     UnsupportedDegree,
 )
+from .perm import _set_threads, _usable_cpus
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -150,13 +150,6 @@ def _requests(args):
 _REQUEST_ERRORS = (UnsupportedDegree, DegreeTooLarge, EnumerationTooLarge)
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 class _Batch:
     """Runs one function per request, in request order, and keeps the worst
     outcome: exit 1 if any request failed, else 2 if any was refused."""
@@ -169,10 +162,14 @@ class _Batch:
         """Yield fn(task) for each task it can handle; print the error of
         each one it cannot.  With jobs > 1, up to that many worker
         processes (no more than the usable CPUs) run the tasks, with at
-        most two per worker submitted and not yet yielded."""
-        workers = min(jobs, _usable_cpus())
+        most two per worker submitted and not yet yielded; each worker
+        splits its large gathers over its share of the usable CPUs."""
+        usable = _usable_cpus()
+        workers = min(jobs, usable)
         if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            with concurrent.futures.ProcessPoolExecutor(
+                    workers, initializer=_set_threads,
+                    initargs=(usable // workers,)) as pool:
                 pending = collections.deque()
                 for t in tasks:
                     if len(pending) == 2 * workers:

@@ -18,12 +18,28 @@ shift back and forth, so they stay cheap up to degrees in the millions.
 `images`, the full array of offsets images[i] = (lo + i)^perm - lo, is
 built each time it is read.  Absolute points appear only at the edges:
 the constructor, __call__, cycles, support and __str__.
+
+Every gather and scatter of a product, power, inverse or conjugate goes
+through `_take` or `_put`.  From _SPLIT points on, these cut the index
+array into a few contiguous chunks per usable CPU: each chunk reads all
+of the source and writes its own part of the result (a scatter's indices
+are a bijection, so its chunks write disjoint points), and numpy releases
+the GIL while it gathers or scatters, so the chunks run at once with no
+extra array.  This thread and a thread pool claim the chunks in turn.
+The pool is made on the first split, under a lock, and forgotten in a
+forked child, whose copy has no threads; importing the module starts none.
+The thread count is worked out once per process; a `verify --jobs` worker
+takes its share of the usable CPUs instead (`_set_threads`).
 """
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import math
+import os
 import re
+import threading
 
 import numpy as np
 
@@ -37,6 +53,116 @@ _CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\)")
 # one window, and so do those whose moved hulls differ by a few points
 # (a and g of a construction), so a product of them needs no padding.
 _BLOCK = 64
+
+
+# A gather or scatter of at least this many points is split.  On a 2-CPU
+# x86 VM two halves first beat one at 4*10^5 points for random gathers
+# (powers of g), shift gathers (powers of a) and scatters alike; at
+# 1.3*10^5 to 3.3*10^5 the hand-off cost about what the second CPU saved.
+# Windows of a million-point degree have at least 5*10^5 points and those
+# of degrees up to 4096 at most 4096, so the first always split and the
+# second never.
+_SPLIT = 400_000
+# A split is cut into this many chunks per thread.  Measured at Sym
+# 1500001 on the same VM, where the host at times held one CPU back, two
+# halves (one per thread) verified in 1.13-1.42 s, four chunks per thread
+# in 1.03-1.33 s and eight in 1.10-1.25 s, against 1.62-1.86 s unsplit.
+_CHUNKS_PER_THREAD = 4
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+_threads = _usable_cpus()  # threads that share a split gather or scatter
+_pool = None  # the threads other than the caller's; made on the first split
+_pool_lock = threading.Lock()
+
+
+def _set_threads(count):
+    """Share each split among `count` threads from now on: a worker
+    process's share of the usable CPUs, set before its first split."""
+    global _threads
+    _threads = count
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool has no threads here, and its
+    lock may have been held by one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                _threads - 1, thread_name_prefix="shortpres-perm")
+        return _pool
+
+
+def _in_chunks(size, run):
+    """run(s, e) over contiguous chunks that cover [0, size), claimed in
+    turn by this thread and the pool's; returns once every chunk is
+    written.  A thread whose CPU the host holds up for a while then leaves
+    its share to the others instead of holding them up."""
+    count = _threads
+    if count < 2:
+        run(0, size)
+        return
+    chunks = count * _CHUNKS_PER_THREAD
+    bounds = [size * i // chunks for i in range(chunks + 1)]
+    todo = collections.deque(zip(bounds, bounds[1:]))  # popleft is atomic
+
+    def drain():
+        while todo:
+            try:
+                start, stop = todo.popleft()
+            except IndexError:  # another thread took the last chunk
+                return
+            run(start, stop)
+
+    pool = _executor()
+    helpers = [pool.submit(drain) for _ in range(count - 1)]
+    try:
+        drain()
+    finally:
+        for future in helpers:
+            if not future.cancel():  # it has started: wait for its chunk
+                future.result()
+
+
+def _take(src, idx, out=None):
+    """src[idx], written into out if given; idx holds valid indices of src
+    (mode="clip" writes straight into out, and clips nothing)."""
+    if idx.size < _SPLIT:
+        return src[idx] if out is None else src.take(idx, out=out, mode="clip")
+    if out is None:
+        out = np.empty_like(idx)
+    _in_chunks(idx.size,
+               lambda s, e: src.take(idx[s:e], out=out[s:e], mode="clip"))
+    return out
+
+
+def _put(arr, idx, vals):
+    """arr[idx[i]] = vals[i] for idx a bijection of arr's indices."""
+    if idx.size < _SPLIT:
+        arr[idx] = vals
+        return arr
+
+    def put(s, e):
+        arr[idx[s:e]] = vals[s:e]
+
+    _in_chunks(idx.size, put)
+    return arr
 
 
 def _arange(n):
@@ -188,11 +314,10 @@ class Permutation:
     def __mul__(self, other):
         """self*other applies self first: x^(self*other) = (x^self)^other."""
         a, b, start = self._pair(other)
-        return self._like(b[a], start)
+        return self._like(_take(b, a), start)
 
     def inverse(self):
-        arr = np.empty_like(self.win)
-        arr[self.win] = _arange(self.win.size)
+        arr = _put(np.empty_like(self.win), self.win, _arange(self.win.size))
         return self._like(arr, self.start)
 
     def __invert__(self):
@@ -206,26 +331,24 @@ class Permutation:
         # same gathers as from the bottom up, without a live run of squares
         # beside the result.  Two buffers are written in turn, because a
         # fresh array per step costs a page fault per page at large
-        # windows; mode="clip" writes straight into `out` (the default mode
-        # buffers it), and clips nothing, as the indices are in range.
+        # windows.
         base = (self if e > 0 else self.inverse()).win
         bits = bin(abs(e))[3:]
         if not bits:
             return self._like(base, self.start)
         result, spare = base.copy(), np.empty_like(base)
         for bit in bits:
-            result.take(result, out=spare, mode="clip")
+            _take(result, result, spare)
             result, spare = spare, result
             if bit == "1":
-                base.take(result, out=spare, mode="clip")
+                _take(base, result, spare)
                 result, spare = spare, result
         return self._like(result, self.start)
 
     def conjugate(self, g):
         """self^g = g^-1 * self * g, i.e. self with points relabeled by g."""
         a, b, start = self._pair(g)
-        arr = np.empty_like(a)
-        arr[b] = b[a]
+        arr = _put(np.empty_like(a), b, _take(b, a))
         return self._like(arr, start)
 
     def __call__(self, point):

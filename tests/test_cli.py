@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from test_builders import GOLDEN_ALT_17
 
-from shortpres import builders, cli, sl2
+from shortpres import builders, cli, perm, sl2
 from shortpres.cli import main
 from shortpres.errors import InternalInvariantViolation
 
@@ -267,8 +267,9 @@ class _FakePool:
     its result is read, and records the largest number of tasks submitted
     and not yet read."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
+        self.initializer, self.initargs = initializer, initargs
         self.submitted = self.in_flight = self.most_in_flight = 0
 
     def __enter__(self):
@@ -301,8 +302,8 @@ class TestJobs:
     def pools(self, monkeypatch):
         made = []
 
-        def make(max_workers):
-            made.append(_FakePool(max_workers))
+        def make(*args, **kwargs):
+            made.append(_FakePool(*args, **kwargs))
             return made[-1]
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", make)
@@ -326,6 +327,21 @@ class TestJobs:
             assert pools[-1].max_workers == workers
             assert pools[-1].most_in_flight <= 2 * workers
             assert pools[-1].submitted == 16
+
+    @pytest.mark.parametrize("usable", [2, 3, 8])
+    def test_each_worker_gets_its_share_of_the_gather_threads(
+            self, capsys, pools, monkeypatch, usable):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: usable)
+        for jobs in (2, 3, 5, 64):
+            code, out, _ = run(capsys, "verify", "-n", "13..14", "--kind",
+                               "alt", "--jobs", str(jobs))
+            assert code == 0 and out.count(" OK\n") == 2
+            pool = pools[-1]
+            workers = min(jobs, usable)
+            assert pool.max_workers == workers
+            assert pool.initializer is perm._set_threads
+            assert pool.initargs == (usable // workers,)
+            assert 1 <= workers * pool.initargs[0] <= usable
 
     def test_one_usable_cpu_runs_in_this_process(self, capsys, pools,
                                                 monkeypatch):

@@ -3,17 +3,30 @@
 Products apply the left factor first throughout, so (1,2)(2,3) = (1,3,2).
 """
 
+import contextlib
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from shortpres import perm
 from shortpres.errors import (
     DomainMismatch,
     OverlappingCycles,
     PointOutOfDomain,
 )
 from shortpres.perm import Permutation, parse_cycles
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def P(text, lo=1, hi=None):
@@ -277,3 +290,134 @@ def test_windows_agree_with_the_dense_reference(pair, e):
         assert perm.cycle_minima().tolist() == least.tolist()
         assert [perm(pt) for pt in range(lo, lo + x.size)] == (img + lo).tolist()
     assert (f == g) == (x.tolist() == y.tolist())
+
+
+@contextlib.contextmanager
+def _split_from(points, threads):
+    """Share every gather and scatter of at least `points` points among
+    `threads` threads, on a pool made for the block and shut down after it."""
+    with mock.patch.multiple(perm, _SPLIT=points, _threads=threads, _pool=None):
+        try:
+            yield
+        finally:
+            if perm._pool is not None:
+                perm._pool.shutdown()
+
+
+def test_split_windows_agree_with_the_dense_reference():
+    """The property above with every window split among three threads,
+    however small: uneven chunks, chunks of no points (windows of fewer
+    than twelve points) and empty windows (identities)."""
+    with _split_from(0, 3):
+        test_windows_agree_with_the_dense_reference()
+        assert perm._pool is not None
+
+
+def test_split_is_used_from_the_threshold_on():
+    submitted = []
+    x = np.random.default_rng(5).permutation(200)
+    f = Permutation(x + 1)
+    with _split_from(200, 2):
+        pool = perm._executor()
+        submit = pool.submit
+
+        def counted(*args):
+            submitted.append(args)
+            return submit(*args)
+
+        with mock.patch.object(pool, "submit", counted):
+            square, inverse = (f * f).images, f.inverse().images
+            assert len(submitted) == 2
+            perm._SPLIT = 201
+            cube = (f ** 3).images
+            assert len(submitted) == 2
+    assert square.tolist() == x[x].tolist()
+    assert inverse.tolist() == np.argsort(x).tolist()
+    assert cube.tolist() == x[x[x]].tolist()
+
+
+def _power_in_child(f, e, expected):
+    if perm._pool is not None or f ** e != expected:
+        sys.exit(1)
+    if perm._pool is None:  # the power was not split
+        sys.exit(2)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_a_forked_child_splits_on_a_pool_of_its_own():
+    """A child forked after the parent made its pool inherits a pool with
+    no threads, where what it queued would never run; it makes its own."""
+    x = np.random.default_rng(7).permutation(5000)
+    f = Permutation(x + 1)
+    expected = Permutation(_dense_power(x, 12345) + 1)
+    with _split_from(64, 2):
+        power = (f ** 12345).images
+        assert np.array_equal(power, expected.images)
+        assert perm._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_power_in_child, args=(f, 12345, expected))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+    assert not hung and child.exitcode == 0
+
+
+def test_concurrent_splits_make_one_pool_and_agree_with_serial():
+    """More threads than cores split powers and conjugates at once, with
+    the interpreter switching threads as often as it can."""
+    made = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    rng = np.random.default_rng(11)
+    f, g = (Permutation(rng.permutation(3000) + 1) for _ in range(2))
+    count = 4 * perm._usable_cpus() + 4
+
+    def values(i):
+        return np.stack([(f ** (1000 + i)).images,
+                         f.conjugate(g ** i).images])
+
+    serial = [values(i) for i in range(count)]
+    results, errors = [None] * count, []
+    start = threading.Barrier(count)
+
+    def work(i):
+        try:
+            start.wait(timeout=60)
+            results[i] = [values(i) for _ in range(3)]
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _split_from(64, 3), mock.patch.object(
+                perm.concurrent.futures, "ThreadPoolExecutor", CountingPool):
+            workers = [threading.Thread(target=work, args=(i,))
+                       for i in range(count)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(made) == 1
+    assert [i for i, (want, got) in enumerate(zip(serial, results))
+            if not all(np.array_equal(want, v) for v in got)] == []
+
+
+def test_importing_the_package_starts_no_thread():
+    code = "import threading, shortpres.cli; print(threading.active_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
