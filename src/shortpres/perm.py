@@ -43,7 +43,12 @@ import threading
 
 import numpy as np
 
-from .errors import DomainMismatch, OverlappingCycles, PointOutOfDomain
+from .errors import (
+    DomainMismatch,
+    InternalInvariantViolation,
+    OverlappingCycles,
+    PointOutOfDomain,
+)
 
 _CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\)")
 
@@ -386,7 +391,9 @@ class Permutation:
 
     def cycles(self):
         """Canonical cycle decomposition: fixed points dropped, each cycle
-        starting at its least point, cycles sorted by least point."""
+        starting at its least point, cycles sorted by least point.  A walk
+        that comes back to a point other than its start raises
+        InternalInvariantViolation: the window is not a bijection."""
         img = self.win
         base = self.lo + self.start
         seen = set()
@@ -398,6 +405,10 @@ class Permutation:
             seen.add(first)
             nxt = int(img[first])
             while nxt != first:
+                if nxt in seen:
+                    raise InternalInvariantViolation(
+                        f"point {nxt + base} is reached twice: the window is "
+                        "not a bijection")
                 cyc.append(nxt)
                 seen.add(nxt)
                 nxt = int(img[nxt])

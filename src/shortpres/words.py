@@ -18,12 +18,13 @@ Conventions (documented once, used everywhere):
     defined names expand recursively.
   * evaluation applies the left factor first, matching perm.Permutation.
 
-Evaluation has two entry points on one evaluator.  evaluate_slp returns the
-value of every generator and definition next to the relator values, for
-callers that read the definitions.  relator_values streams (index, value)
-per relator: each relator runs as soon as the names it reads exist, and
-every name and factor is freed after its last use, so a relator check holds
-only the values still to be read.
+Evaluation compiles the words once into a list of distinct steps, so that a
+subword met anywhere in the program is one step, and runs them in one loop.
+evaluate_slp returns the value of every generator and definition next to the
+relator values.  relator_values streams (index, value) per relator: each
+relator runs as soon as the names it reads exist, a definition no relator
+reads is never run, and every value is freed after its last reader, so a
+relator check holds only the values still to be read.
 """
 
 from __future__ import annotations
@@ -521,147 +522,141 @@ class ProductPair:
         return math.lcm(self.left.order(), self.right.order())
 
 
-class _Evaluator:
-    """Evaluates words in env, computing each distinct factor once.
+# op -> its value from the step's param and operand values ("name" reads env)
+_OPS = {
+    "id": lambda _, x: x.identity_like(),
+    "pow": lambda e, x: x ** e,
+    "inv": lambda _, x: x.inverse(),
+    "mul": lambda _, x, y: x * y,
+    "conj": lambda _, x, y: x.conjugate(y),
+    "out": lambda _, x: x,
+}
 
-    A factor base^e is keyed by (base, |e|): base^|e| is computed on the
-    key's first use, base^-|e| is its inverse, and both are dropped after
-    the key's last use.  The uses are counted up front by walking the words
-    as evaluation will: a key's base is entered on its first use only,
-    because every later use is served from the cache.  A name is read once
-    per key whose base it is, so its reads are counted on the same walk, and
-    a name leaves env after its last read.
+
+class _Program:
+    """A straight-line program compiled to a list of distinct steps.
+
+    A step is (op, param, *operands), its operands given by step number:
+    ("name", name) reads env, ("id", None, x) is the identity of x's group,
+    ("pow", e, x) is x^e for e > 1, ("inv", None, x), ("mul", None, x, y),
+    ("conj", None, x, y) is x^y, and ("out", key, x) yields (key, x).
+    Equal subwords anywhere in the program compile to one step, and a
+    defined name stands for its word's step.
     """
 
-    def __init__(self, env, words):
-        self.uses = {}
-        self.cache = {}  # key -> [base^|e|, base^-|e| or None]
-        self.reads = {}  # name -> reads left
-        for w in words:
-            self._count(w)
-        self.sample = next(iter(env.values()), None)  # for identity_like
-        self.env = {n: v for n, v in env.items() if n in self.reads}
+    def __init__(self, env):
+        self.env = env
+        self.ops = dict(_OPS, name=env.__getitem__)
+        self.steps = {}  # step -> its number, in compile order
+        self.live = {}  # step -> value, while a reader of it is still to run
+        self.names = {name: self._step("name", name) for name in env}
 
-    def _count(self, word):
-        for f in word.factors:
-            key = (f.base, abs(f.exp))
-            if key in self.uses:
-                self.uses[key] += 1
-                continue
-            self.uses[key] = 1
-            base = f.base
-            if isinstance(base, Sym):
-                self.reads[base.name] = self.reads.get(base.name, 0) + 1
-            elif isinstance(base, Conj):
-                self._count(base.target)
-                self._count(base.by)
-            elif isinstance(base, Comm):
-                self._count(base.left)
-                self._count(base.right)
-            elif isinstance(base, GroupWord):
-                self._count(base)
-
-    def bind(self, name, value):
-        """Make a defined name readable, unless nothing reads it."""
-        if name in self.reads:
-            self.env[name] = value
-        return value
+    def _step(self, *step):
+        return self.steps.setdefault(step, len(self.steps))
 
     def word(self, word):
-        result = None
+        """The step of word: factors multiplied left to right, x^-e as
+        (x^e)^-1."""
+        k = None
         for f in word.factors:
-            val = self._factor(f)
-            result = val if result is None else result * val
-        if result is None:
-            if self.sample is None:
+            x = self._base(f.base)
+            if abs(f.exp) > 1:
+                x = self._step("pow", abs(f.exp), x)
+            if f.exp < 0:
+                x = self._step("inv", None, x)
+            k = x if k is None else self._step("mul", None, k, x)
+        if k is None:  # the empty word: the identity beside env's first value
+            if not self.env:
                 raise UnboundSymbol("<empty environment>")
-            return self.sample.identity_like()
-        return result
-
-    def _factor(self, f):
-        key = (f.base, abs(f.exp))
-        entry = self.cache.get(key)
-        if entry is None:
-            val = self._base(f.base)
-            entry = self.cache[key] = [val if key[1] == 1 else val ** key[1], None]
-        left = self.uses[key] - 1
-        if left:
-            self.uses[key] = left
-        else:
-            del self.uses[key], self.cache[key]
-        if f.exp > 0:
-            return entry[0]
-        if entry[1] is None:
-            entry[1] = entry[0].inverse()
-        return entry[1]
+            k = self._step("id", None, self._step("name", next(iter(self.env))))
+        return k
 
     def _base(self, base):
         if isinstance(base, Sym):
-            name = base.name
-            if name not in self.env:
-                raise UnboundSymbol(name)
-            left = self.reads[name] - 1
-            if left:
-                self.reads[name] = left
-                return self.env[name]
-            del self.reads[name]
-            return self.env.pop(name)
+            if base.name not in self.names:
+                raise UnboundSymbol(base.name)
+            return self.names[base.name]
         if isinstance(base, Conj):
-            return self.word(base.target).conjugate(self.word(base.by))
+            return self._step("conj", None, self.word(base.target), self.word(base.by))
         if isinstance(base, Comm):
             # [u,v] = u^-1 v^-1 u v = u^-1 u^v
             u = self.word(base.left)
-            u_v = u.conjugate(self.word(base.right))
-            return u.inverse() * u_v
+            u_v = self._step("conj", None, u, self.word(base.right))
+            return self._step("mul", None, self._step("inv", None, u), u_v)
         return self.word(base)
+
+    def slp(self, slp, definitions):
+        """Compile slp, its generators read from env: an output per
+        definition if definitions is true, and one per relator, keyed by its
+        index and compiled straight after the last definition it reads."""
+        for name in slp.generators:
+            if name not in self.env:
+                raise UnboundSymbol(name)
+        place = {name: i for i, (name, _) in enumerate(slp.definitions, 1)}
+        due = [[] for _ in range(len(slp.definitions) + 1)]
+        for i, w in enumerate(slp.relators):
+            due[max((place.get(s, 0) for s in _free_symbols(w)), default=0)].append(i)
+        for i in due[0]:
+            self._step("out", i, self.word(slp.relators[i]))
+        for (name, w), ready in zip(slp.definitions, due[1:]):
+            self.names[name] = self.word(w)
+            if definitions:
+                self._step("out", name, self.names[name])
+            for i in ready:
+                self._step("out", i, self.word(slp.relators[i]))
+
+    def run(self):
+        """Yield (key, value) at each output step, in order, running only the
+        steps an output needs; a value leaves live after its last reader."""
+        steps = list(self.steps)
+        last = {}  # step -> the step that reads it last
+        for s in reversed(range(len(steps))):
+            if s in last or steps[s][0] == "out":
+                for k in steps[s][2:]:
+                    last.setdefault(k, s)
+        gone = {}
+        for k, s in last.items():
+            gone.setdefault(s, []).append(k)
+        for s, (op, param, *xs) in enumerate(steps):
+            if s in last or op == "out":
+                self.live[s] = self.ops[op](param, *[self.live[k] for k in xs])
+                for k in gone.get(s, ()):
+                    del self.live[k]
+                if op == "out":
+                    yield param, self.live.pop(s)
 
 
 def evaluate(word, env):
     """Evaluate a word in env (name -> element).  Left factor applies first."""
-    return _Evaluator(env, [word]).word(word)
-
-
-def _program(slp, images):
-    """An evaluator over all words of slp, its generators bound to images."""
-    for name in slp.generators:
-        if name not in images:
-            raise UnboundSymbol(name)
-    return _Evaluator(images, [w for _, w in slp.definitions] + list(slp.relators))
+    program = _Program(env)
+    program._step("out", None, program.word(word))
+    return next(program.run())[1]
 
 
 def evaluate_slp(slp, images):
-    """Evaluate all definitions (once each, in order) and all relators.
+    """Evaluate all definitions and all relators.
 
-    Each distinct factor of the whole program is computed once and freed
-    after its last use.  Returns (values, relator_values) where values maps
-    generator and defined names to elements, all alive until the caller
-    drops them; a caller that reads only the relators streams them with
-    relator_values instead.
+    Each distinct step of the whole program is computed once.  Returns
+    (values, relator_values) where values maps generator and defined names
+    to elements, all alive until the caller drops them; a caller that reads
+    only the relators streams them with relator_values instead.
     """
-    ev = _program(slp, images)
-    values = dict(images)
-    for name, w in slp.definitions:
-        values[name] = ev.bind(name, ev.word(w))
-    return values, [ev.word(w) for w in slp.relators]
+    program = _Program(images)
+    program.slp(slp, definitions=True)
+    got = dict(program.run())
+    values = {**images, **{name: got[name] for name, _ in slp.definitions}}
+    return values, [got[i] for i in range(len(slp.relators))]
 
 
 def relator_values(slp, images):
     """Yield (index, value) for each relator of slp, evaluated at images.
 
-    A relator runs straight after the last definition it reads, and every
-    name, factor and definition is freed after its last use, so only the
-    values still to be read stay alive.  Each relator is evaluated in full,
-    exactly as evaluate_slp evaluates it; only the order differs.
+    A relator runs straight after the last definition it reads, a
+    definition no relator reads is not evaluated, and every value is freed
+    after its last use, so only the values still to be read stay alive.
+    Each relator is evaluated in full, exactly as evaluate_slp evaluates
+    it; only the order differs.
     """
-    ev = _program(slp, images)
-    place = dict.fromkeys(slp.generators, 0)
-    place.update((name, i) for i, (name, _) in enumerate(slp.definitions, 1))
-    due = [[] for _ in range(len(slp.definitions) + 1)]
-    for i, w in enumerate(slp.relators):
-        due[max((place[s] for s in _free_symbols(w)), default=0)].append(i)
-    for i in due[0]:
-        yield i, ev.word(slp.relators[i])
-    for (name, w), ready in zip(slp.definitions, due[1:]):
-        ev.bind(name, ev.word(w))
-        for i in ready:
-            yield i, ev.word(slp.relators[i])
+    program = _Program(images)
+    program.slp(slp, definitions=False)
+    yield from program.run()

@@ -1,11 +1,13 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package and of the tests uses each name it imports,
+and every package name the benchmark's tracer hooks exists.
 
-The check reads the source with the standard-library ast module: a name
-bound by an import statement must be read somewhere in the module, or be
-listed in its __all__.  Imports from __future__ are exempt.
+The import check reads the source with the standard-library ast module: a
+name bound by an import statement must be read somewhere in the module, or
+be listed in its __all__.  Imports from __future__ are exempt.
 """
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,15 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_traced_name_resolves():
+    """perfbench/tracing.py hooks package names by their path; one that was
+    renamed or dropped would read 0 in its layer.  run_path executes the file
+    without importing it as a module, so it writes nothing beside it."""
+    tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
+    resolve = tracing["_resolve"]
+    for _, module, path in tracing["SPANS"]:
+        resolve(module, path)
+    for name, _ in tracing["PERM_OPS"]:
+        resolve("shortpres.perm", f"Permutation.{name}")

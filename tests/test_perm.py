@@ -129,6 +129,29 @@ class TestStructure:
     def test_hash_consistent(self):
         assert len({P("(1,2)"), P("(1,2)"), P("(2,1)")}) == 1
 
+    def test_cycle_walk_stops_on_a_window_that_is_not_a_bijection(self):
+        # a child under a 1 GiB address-space limit and a timeout, so that an
+        # unbounded walk fails instead of hanging this process
+        code = """if True:
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            import numpy as np
+            from shortpres.errors import InternalInvariantViolation
+            from shortpres.perm import Permutation
+            g = Permutation.identity(1, 6)._like(np.array([1, 2, 1]), 2)
+            for show in (Permutation.cycles, str, repr):
+                try:
+                    show(g)
+                except InternalInvariantViolation as exc:
+                    print(exc)
+            """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "point 4 is reached twice: the window is not a bijection\n" * 3
+
 
 @settings(max_examples=60)
 @given(st.permutations(range(1, 8)), st.permutations(range(1, 8)),

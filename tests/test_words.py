@@ -12,6 +12,7 @@ from shortpres import words
 from shortpres.errors import InternalInvariantViolation, UnboundSymbol
 from shortpres.builders import base_p2_hat, glued
 from shortpres.perm import Permutation, parse_cycles
+from shortpres.verify import check_relators
 from shortpres.words import (
     Comm,
     Conj,
@@ -457,15 +458,15 @@ def random_images(draw, pairs):
     return {t: ProductPair(x, y) for t, x, y in zip("ab", left, right)}
 
 
-def record_evaluators(monkeypatch):
+def record_programs(monkeypatch):
     made = []
 
-    class Recording(words._Evaluator):
+    class Recording(words._Program):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(words, "_Evaluator", Recording)
+    monkeypatch.setattr(words, "_Program", Recording)
     return made
 
 
@@ -499,16 +500,14 @@ def test_cached_evaluation_matches_plain_evaluation(data):
 
 class TestCachedEvaluator:
     def test_cache_is_empty_after_evaluate_slp(self, monkeypatch):
-        made = record_evaluators(monkeypatch)
+        made = record_programs(monkeypatch)
         for pres in (glued(17, "Alt"), glued(20, "Alt"), glued(18, "Sym"),
                      base_p2_hat(11, "Sym")):
             evaluate_slp(pres.slp, pres.images)
             assert sorted(i for i, _ in relator_values(pres.slp, pres.images)) == [
                 *range(len(pres.slp.relators))]
         assert len(made) == 8
-        for ev in made:
-            assert ev.cache == {} and ev.uses == {}
-            assert ev.reads == {} and ev.env == {}
+        assert all(program.live == {} for program in made)
 
     def test_stream_runs_each_relator_after_the_names_it_reads(self):
         slp = Slp.from_text(
@@ -525,7 +524,7 @@ class TestCachedEvaluator:
         assert dict(got) == dict(enumerate(evaluate_slp(slp, env)[1]))
 
     def test_stream_frees_each_name_after_its_last_read(self, monkeypatch):
-        made = record_evaluators(monkeypatch)
+        made = record_programs(monkeypatch)
         slp = Slp.from_text(
             "generators: a b\n"
             "c := a b\n"
@@ -535,12 +534,12 @@ class TestCachedEvaluator:
         env = {"a": parse_cycles("(1,2)", 1, 3), "b": parse_cycles("(2,3)", 1, 3)}
         stream = relator_values(slp, env)
         assert next(stream)[0] == 0
-        (ev,) = made
-        # a and b are read once each, by c; the factor b stays cached for
-        # the second relator, and c is still read by d
-        assert set(ev.env) == {"c"} and ev.reads == {"c": 1, "d": 1}
+        (program,) = made
+        # a is read once, by c; b stays for the second relator, and c for d
+        assert program.live == {program.steps["name", "b"]: env["b"],
+                                program.names["c"]: env["a"] * env["b"]}
         assert next(stream)[0] == 1
-        assert ev.env == {} and ev.reads == {}
+        assert program.live == {}
         assert set(env) == {"a", "b"}  # the caller's mapping is left alone
 
     def test_a_power_and_its_inverse_cost_one_power(self, monkeypatch):
@@ -560,6 +559,50 @@ class TestCachedEvaluator:
         assert powers == [5]
         ab_val = env["a"] * env["b"]
         assert got == ab_val ** 5 * env["b"] * ab_val ** -5
+
+    def test_a_factor_repeated_across_words_is_computed_once(self, monkeypatch):
+        pres = glued(20, "Sym")
+        assert pres.images  # built before counting
+        conjugates = set()
+
+        def walk(word):
+            for f in word.factors:
+                base = f.base
+                if isinstance(base, (Conj, Comm)):  # [u,v] costs one u^v
+                    conjugates.add(base)
+                    walk(base.target if isinstance(base, Conj) else base.left)
+                    walk(base.by if isinstance(base, Conj) else base.right)
+                elif isinstance(base, GroupWord):
+                    walk(base)
+
+        for w in [w for _, w in pres.slp.definitions] + list(pres.slp.relators):
+            walk(w)
+        calls = []
+        real_conjugate = Permutation.conjugate
+
+        def counting_conjugate(self, g):
+            calls.append(g)
+            return real_conjugate(self, g)
+
+        monkeypatch.setattr(Permutation, "conjugate", counting_conjugate)
+        assert check_relators(pres).all_relators_identity
+        assert len(calls) == len(conjugates) == 17
+
+    def test_a_definition_no_relator_reads_is_not_evaluated(self, monkeypatch):
+        slp = Slp.from_text("generators: a\nc := a^5\nrelator: a^2\n")
+        env = {"a": parse_cycles("(1,2,3,4,5,6,7)", 1, 7)}
+        powers = []
+        real_pow = Permutation.__pow__
+
+        def counting_pow(self, e):
+            powers.append(e)
+            return real_pow(self, e)
+
+        monkeypatch.setattr(Permutation, "__pow__", counting_pow)
+        assert [i for i, _ in relator_values(slp, env)] == [0]
+        assert powers == [2]
+        values, _ = evaluate_slp(slp, env)
+        assert values["c"] == real_pow(env["a"], 5)
 
 
 # ---------------------------------------------------------------------------
