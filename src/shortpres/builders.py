@@ -46,7 +46,7 @@ from .errors import (
 )
 from .numth import ParamSet, derive_params, find_glue_prime, validate_params
 from .perm import Permutation
-from .words import ProductPair, Slp, comm, conj, sym
+from .words import GroupWord, ProductPair, Slp, comm, conj, sym
 
 MATERIALIZE_MAX_DEGREE = 10_000_000
 
@@ -130,8 +130,7 @@ def _lift_residue(s, p, simplify):
 
 def _z_word(z, a, i, p, simplify):
     """z conjugated by a^i (the 3-cycle (i, p+1, p+2) in the image)."""
-    if simplify:
-        i = words.least_absolute(i, p)
+    i = _red_mod(i, p, simplify)
     if i == 0:
         return z
     return conj(z, a ** i)
@@ -152,13 +151,9 @@ def _c_word(z, a, x, i, j, p, simplify):
     if not 1 <= i <= j <= p + 2:
         raise InternalInvariantViolation(f"c({i},{j}) out of range for p = {p}")
     if j <= p - 1:
-        e_ax = j - i
-        if simplify:
-            e_ax = words.least_absolute(e_ax, p - 1)
-        word = a ** _red_mod(-j, p, simplify)
-        if e_ax:
-            word = word * (a * x) ** e_ax
-        return word * a ** _red_mod(i, p, simplify)
+        return (a ** _red_mod(-j, p, simplify)
+                * (a * x) ** _red_mod(j - i, p - 1, simplify)
+                * a ** _red_mod(i, p, simplify))
     if i > p - 2:
         raise InternalInvariantViolation(f"c({i},{j}) needs i <= p-2 for p = {p}")
     if j == p:
@@ -419,19 +414,17 @@ def glued(n, kind, params=None, simplify=True):
         ("x", dw(0, 1)),
         ("atil", conj(zw(3), zw(2) * zw(1))),
     ]
-    t = sym("t")
+    t = GroupWord()  # the transposition t, in Sym only
     if kind == "Sym":
         defs.extend(_transposition_defs(a, b, z, x, p, simplify))
-        c_def = (cw(2, k) if not n_even else cw(1, k)) * t
-        e_def = z * a * t * ~(cw(3, k + 1) if not n_even else cw(2, k + 1))
-    else:
-        c_def = cw(1, k) if not n_even else cw(2, k)
-        e_def = z * a * ~(cw(2, k + 1) if not n_even else cw(3, k + 1))
-    defs.append(("c", c_def))
+        t = sym("t")
+    # c starts at 2 for odd Sym and even Alt degrees, else at 1; e one later
+    i = 2 if (kind == "Sym") != n_even else 1
+    defs.append(("c", cw(i, k) * t))
     defs.append(("d", cw(5, p + 2)))
-    defs.append(("e", e_def))
+    defs.append(("e", z * a * t * ~cw(i + 1, k + 1)))
 
-    w_def, tele_defs = _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t, simplify)
+    w_def, tele_defs = _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t)
     defs.extend(tele_defs)
     defs.append(("w", w_def))
 
@@ -466,58 +459,34 @@ def _transposition_defs(a, b, z, x, p, simplify):
     ]
 
 
-def _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t, simplify):
+def _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t):
     """The w word for each (kind, parity, k) branch, plus the telescope
     definitions (ytil, ztil, xtil, u) when the branch uses them."""
     za = z * a
-    if kind == "Sym":
-        if k == p + 1:
-            return conj(t, y * z), []
-        if k == p:
-            return conj(z, y * z ** -1) * conj(z, y * z), []
-        if k == p - 1:
-            mover = a * y * a ** -1
-            return (
-                conj(z, mover * z ** -1) * conj(z, mover * z)
-                * conj(dw(1, p) * t, y * a ** -1),
-                [],
-            )
-        tele = _telescope_defs(k, dw, za, y)
-        xtil, u = sym("xtil"), sym("u")
-        if not n_even:
-            e = (p - k) // 2
-            return (xtil * u ** -2) ** e * xtil * u ** (p - k), tele
-        e = (p - k - 1) // 2
-        head = conj(t, za * y * za ** -1)
-        return head * (xtil * u ** -2) ** e * xtil * u ** (p - k - 1), tele
-    # Alt
     if k == p:
         return conj(z, y * z ** -1) * conj(z, y * z), []
+    if kind == "Sym" and k == p + 1:
+        return conj(t, y * z), []
+    if kind == "Sym" and k == p - 1:
+        mover = a * y * a ** -1
+        return (conj(z, mover * z ** -1) * conj(z, mover * z)
+                * conj(dw(1, p) * t, y * a ** -1)), []
+    # w = head (xtil u^-2)^(m/2) xtil u^m, with u left out when m = 0
     if not n_even:
-        tele = _telescope_defs(k, dw, za, y)
-        xtil, u = sym("xtil"), sym("u")
-        e = (p - k) // 2
-        return (xtil * u ** -2) ** e * xtil * u ** (p - k), tele
-    head = (
-        conj(dw(1, -1), za * y * a ** -1 * z ** -2 * a ** -1)
-        * conj(zw(1), y * a ** -1 * z ** -1) ** -1
-    )
-    if k == p - 1:
-        # telescope exponent (p-k-3)/2 = -1: the tail is freely trivial and
-        # its xtil is not even well-formed here, so the head alone is w
-        return head, []
-    tele = _telescope_defs(k, dw, za, y)
-    xtil, u = sym("xtil"), sym("u")
-    e = (p - k - 3) // 2
-    w = head
-    if e:
-        w = w * (xtil * u ** -2) ** e
-    w = w * xtil
-    if p - k - 3:
-        w = w * u ** (p - k - 3)
+        head, m = GroupWord(), p - k
+    elif kind == "Sym":
+        head, m = conj(t, za * y * za ** -1), p - k - 1
     else:
-        tele = [d for d in tele if d[0] != "u"]
-    return w, tele
+        head = (conj(dw(1, -1), za * y * a ** -1 * z ** -2 * a ** -1)
+                * conj(zw(1), y * a ** -1 * z ** -1) ** -1)
+        m = p - k - 3
+        if m < 0:
+            # k = p-1: the telescope exponent is -1, so the tail is freely
+            # trivial and its xtil is not even well-formed: w is the head
+            return head, []
+    xtil, u = sym("xtil"), sym("u")
+    tele = [d for d in _telescope_defs(k, dw, za, y) if m or d[0] != "u"]
+    return head * (xtil * u ** -2) ** (m // 2) * xtil * u ** m, tele
 
 
 def _telescope_defs(k, dw, za, y):
@@ -662,23 +631,19 @@ def _paren(text):
 
 
 def _flat_factor(f, defs):
-    base, e = f.base, f.exp
+    base = f.base
     if isinstance(base, words.Sym):
-        if base.name in defs:
-            inner = _flat_word(defs[base.name], defs)
-            return inner if e == 1 else f"{_paren(inner)}^{e}"
-        return base.name if e == 1 else f"{base.name}^{e}"
-    if isinstance(base, words.Conj):
+        txt = _flat_word(defs[base.name], defs) if base.name in defs else base.name
+    elif isinstance(base, words.Conj):
         txt = (f"{_paren(_flat_word(base.target, defs))}"
                f"^{_paren(_flat_word(base.by, defs))}")
-        return txt if e == 1 else f"({txt})^{e}"
-    if isinstance(base, words.Comm):
+    elif isinstance(base, words.Comm):
         u = _paren(_flat_word(base.left, defs))
         v = _paren(_flat_word(base.right, defs))
         txt = f"{u}^-1*{v}^-1*{u}*{v}"
-        return txt if e == 1 else f"({txt})^{e}"
-    inner = _flat_word(base, defs)
-    return inner if e == 1 else f"{_paren(inner)}^{e}"
+    else:
+        txt = _flat_word(base, defs)
+    return txt if f.exp == 1 else f"{_paren(txt)}^{f.exp}"
 
 
 def _image_json(val):

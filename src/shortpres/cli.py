@@ -11,10 +11,13 @@ Degrees are given as a single value (17), a range (13..20), or a
 comma-separated mix (13,15..17), read lazily.  A batch handles each degree
 on its own: a degree that is not covered (or too large to check, or to
 prove its glue prime) gets its error line on stderr and the others still
-print.  Exit codes: 0 success, 1
+print.  Output is written as each degree is done, and an --out file is
+opened before the first one.  Exit codes: 0 success, 1
 verification failure, 2 unsupported degree or size limit, 3 bad
-arguments, 4 internal error (a construction broke one of its own
-invariants, printed as "shortpres: internal error: ..."); a batch exits
+arguments (an --out that cannot be opened among them), 4 internal error
+(a construction broke one of its own invariants, printed as "shortpres:
+internal error: ..."), 141 stdout closed early (a reader such as head
+stopped; nothing more is printed); a batch exits
 with 1 if any degree failed, else 2 if any was refused.  An internal
 error stops the batch, whether it ran in this process or under --jobs.
 """
@@ -24,10 +27,12 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import builders, sl2, verify
@@ -45,6 +50,7 @@ _EXIT_VERIFY = 1
 _EXIT_UNSUPPORTED = 2
 _EXIT_BADARGS = 3
 _EXIT_INTERNAL = 4
+_EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a piped-off writer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,12 +138,15 @@ def _build_parser():
     return parser
 
 
-def _write(out_path, text):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(out_path):
+    """The --out file, opened now so that a bad path fails before any
+    degree is computed, or stdout."""
+    if not out_path:
+        yield sys.stdout
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _requests(args):
@@ -210,8 +219,12 @@ def _cmd_emit(args):
         return builders.emit(pres, fmt)
 
     batch = _Batch()
-    blocks = list(batch.run(emit_one, itertools.chain(first, reqs)))
-    _write(args.out, "\n".join(blocks) if fmt == "slp" else "".join(blocks))
+    sep = ""
+    with _output(args.out) as out:
+        for block in batch.run(emit_one, itertools.chain(first, reqs)):
+            out.write(sep + block)
+            if fmt == "slp":
+                sep = "\n"  # a blank line between slp blocks
     return batch.exit_code()
 
 
@@ -234,14 +247,14 @@ def _cmd_verify(args):
     tasks = ((n, kind, args.depth, args.simplify) for n, kind in _requests(args))
     batch = _Batch()
     reports = []
-    for line, ok, rep in batch.run(_verify_one, tasks, args.jobs):
-        print(line)
-        batch.failed = batch.failed or not ok
-        reports.append(rep)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, indent=2)
-            fh.write("\n")
+    with _output(args.out) as out:
+        for line, ok, rep in batch.run(_verify_one, tasks, args.jobs):
+            print(line)
+            batch.failed = batch.failed or not ok
+            reports.append(rep)
+        if args.out:
+            json.dump(reports, out, indent=2)
+            out.write("\n")
     return batch.exit_code()
 
 
@@ -259,11 +272,13 @@ def _stats_row(req, simplify):
 
 
 def _cmd_stats(args):
-    rows = ["degree,p,k,case,generators,relators,bit_length,word_length,"
-            "bits_per_log2_degree"]
     batch = _Batch()
-    rows += batch.run(lambda req: _stats_row(req, args.simplify), _requests(args))
-    _write(args.out, "\n".join(rows) + "\n")
+    with _output(args.out) as out:
+        out.write("degree,p,k,case,generators,relators,bit_length,word_length,"
+                  "bits_per_log2_degree\n")
+        for row in batch.run(lambda req: _stats_row(req, args.simplify),
+                             _requests(args)):
+            out.write(row + "\n")
     return batch.exit_code()
 
 
@@ -326,6 +341,13 @@ def main(argv=None):
     except InternalInvariantViolation as exc:
         print(f"shortpres: internal error: {exc}", file=sys.stderr)
         return _EXIT_INTERNAL
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_PIPE
+    except OSError as exc:
+        print(f"shortpres: error: {exc}", file=sys.stderr)
+        return _EXIT_BADARGS
     except ValueError as exc:
         # covers bad numeric input and the remaining package errors
         print(f"shortpres: error: {exc}", file=sys.stderr)

@@ -78,7 +78,9 @@ class UnboundSymbol(ShortPresError):
 
 
 class EnumerationTooLarge(ShortPresError):
-    """A matrix-group closure would exceed the configured enumeration bound."""
+    """An enumeration would exceed its configured bound: a matrix-group
+    closure past its prime, or an order certificate that finds no Jordan
+    witness on more than 64 points (where the stabilizer chain stops)."""
 
 
 class DegreeTooLarge(ShortPresError):

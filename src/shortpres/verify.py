@@ -52,8 +52,9 @@ from .words import (
 
 _MAX_POINTS = 64
 # orders at or above this are written as n! or n!/2: their decimal would pass
-# the interpreter's default int-to-str limit (from degree 1559 on)
-_DECIMAL_LIMIT = 10 ** sys.int_info.default_max_str_digits
+# the interpreter's default int-to-str limit (from degree 1559 on); 4300 is
+# that default, for interpreters older than 3.10.7 that have no limit
+_DECIMAL_LIMIT = 10 ** getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 main() is driven in-process with explicit argv lists; stdout is captured
 with capsys.  A few tests compare with a fresh interpreter.  Exit codes: 0 success, 1 verification failure, 2 unsupported
-degree or size limit, 3 bad arguments, 4 internal error.
+degree or size limit, 3 bad arguments, 4 internal error, 141 stdout
+closed early.
 """
 
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -31,11 +33,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def checkout_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code, *args, timeout=120):
     """Run python code in a fresh interpreter that imports this checkout."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=checkout_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -567,3 +573,53 @@ class TestExitCodes:
         assert out == ("degree=13 kind=Alt case=base_p2 relators=4 "
                        "identity=True OK\n")
         assert err == "shortpres: internal error: broken at degree 14\n"
+
+
+def counting_builds(monkeypatch, seen=None):
+    """Patch presentation_for to count its calls (and, given a stream, to
+    record how much of it was written before each call)."""
+    real = builders.presentation_for
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(seen.getvalue()) if seen else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builders, "presentation_for", counted)
+    return calls
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", ["emit", "verify", "stats"])
+    def test_unwritable_out_fails_before_any_degree(self, capsys, monkeypatch,
+                                                    tmp_path, command):
+        calls = counting_builds(monkeypatch)
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, command, "-n", "13..17", "--out",
+                             str(target))
+        assert (code, out, calls) == (3, "", [])
+        assert err.startswith("shortpres: error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    @pytest.mark.parametrize("command,first", [
+        ("emit", "# degree: 13\n"), ("stats", "degree,p,k,case,")])
+    def test_each_block_is_written_before_the_next_is_built(
+            self, monkeypatch, command, first):
+        buf = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", buf)
+        calls = counting_builds(monkeypatch, seen=buf)
+        assert main([command, "-n", "13..15", "--kind", "alt"]) == 0
+        assert buf.getvalue().startswith(first)
+        assert len(calls) == 3 and 0 < calls[1] < calls[2] < len(buf.getvalue())
+
+    @pytest.mark.parametrize("command", ["emit", "verify", "stats"])
+    def test_closed_stdout_stops_quietly(self, command):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shortpres.cli", command, "-n", "13..4000",
+             "--kind", "alt"], env=checkout_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli._EXIT_PIPE
+        assert err == ""
