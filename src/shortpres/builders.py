@@ -278,21 +278,13 @@ def agl_examples(p, variant, with_extra_relator=False, simplify=True):
     """
     if variant not in _AGL_VARIANTS:
         raise InternalInvariantViolation(f"unknown variant {variant!r}")
-    if not numth.is_prime(p) or p == 2:
-        raise BadPrimeClass(f"need an odd prime, got {p}")
-    if variant == "AltAGL2":
-        if p % 4 != 3 or p <= 3:
-            raise BadPrimeClass(f"AltAGL2 needs a prime p = 3 (mod 4), p > 3, got {p}")
-        r = numth.group_unit_generator(p, squares_only=True)
-        ordb = (p - 1) // 2
-    else:
-        if p <= 3:
-            raise BadPrimeClass(f"need p > 3, got {p}")
-        r = numth.group_unit_generator(p)
-        ordb = p - 1
-    s = (-pow(r - 1, -1, p)) % p
+    squares = variant == "AltAGL2"
+    need = "p > 3 with p = 3 (mod 4)" if squares else "p > 3"
+    if p <= 3 or (squares and p % 4 != 3) or not numth.is_prime(p):
+        raise BadPrimeClass(f"{variant} needs a prime {need}, got {p}")
+    r, s, kappa = numth.unit_fields(p, squares)
     ps = ParamSet(kind="Sym" if variant == "SymAGL" else "Alt",
-                  n=p + 2, p=p, r=r, s=s, alpha=None, kappa=ordb)
+                  n=p + 2, p=p, r=r, s=s, alpha=None, kappa=kappa)
     a, b, z = sym("a"), sym("b"), sym("z")
     base = _base_relators(a, b, z, ps, simplify)
     relators = [*base[:2], z ** 3, base[2]]
@@ -544,8 +536,7 @@ def _intake(kind, case, n, params):
     if not params:
         return derive_params(kind, case, n=n)
     ps = validate_params(params)
-    given = "P3" if ps.j is not None else "BaseP2" if ps.k is None else "Glued"
-    if (ps.n, ps.kind, given) != (n, numth._norm_kind(kind), case):
+    if (ps.n, ps.kind, numth.case_of(ps)) != (n, numth._norm_kind(kind), case):
         raise InternalInvariantViolation("parameters do not describe this case")
     return ps
 

@@ -232,29 +232,34 @@ def _verify_one(task):
     n, kind, depth, simplify = task
     pres = builders.presentation_for(n, kind, simplify=simplify)
     report = verify.verify_presentation(pres, depth=depth)
+    rep = report.to_json()
     line = (f"degree={n} kind={pres.kind} case={pres.case} "
             f"relators={len(report.relators)} "
             f"identity={report.all_relators_identity}")
     if report.order_certified:
-        order = verify.printable_order(report.order, n)
-        expected = verify.printable_order(report.details["expected_order"], n)
-        line += f" order={order} expected={expected}"
+        line += f" order={rep['order']} expected={rep['details']['expected_order']}"
     line += " OK" if report.ok else " FAIL"
-    return line, report.ok, report.to_json()
+    return line, report.ok, rep
 
 
 def _cmd_verify(args):
+    """One line per degree on stdout; with --out, each report also goes into
+    a JSON array as it is made, and the array is closed even when the batch
+    stops early, so the file always parses."""
     tasks = ((n, kind, args.depth, args.simplify) for n, kind in _requests(args))
     batch = _Batch()
-    reports = []
     with _output(args.out) as out:
-        for line, ok, rep in batch.run(_verify_one, tasks, args.jobs):
-            print(line)
-            batch.failed = batch.failed or not ok
-            reports.append(rep)
-        if args.out:
-            json.dump(reports, out, indent=2)
-            out.write("\n")
+        sep = "[\n"
+        try:
+            for line, ok, rep in batch.run(_verify_one, tasks, args.jobs):
+                if args.out:  # the layout of json.dump(reports, indent=2)
+                    out.write(sep + "  " + json.dumps(rep, indent=2).replace("\n", "\n  "))
+                    sep = ",\n"
+                print(line)
+                batch.failed = batch.failed or not ok
+        finally:
+            if args.out:
+                out.write("[]\n" if sep == "[\n" else "\n]\n")
     return batch.exit_code()
 
 

@@ -3,9 +3,10 @@ data each presentation family needs.
 
 A ParamSet is a flat bag of small integers; which fields are present depends
 on the family (degree p+2 base case, degree p+3 case, or the glued range).
-Every derived field is re-checked by validate_params, which also accepts
-hand-picked alternatives (e.g. a different generator r) as long as they
-satisfy the defining congruences.
+Its free choices are the prime p, the generator r and the generator j; every
+other field follows from them.  derive_params and validate_params share one
+rule set: validate_params checks the free choices of a hand-picked ParamSet
+and re-derives the rest.
 
 All arithmetic is proven, never probabilistic.  is_prime is a deterministic
 Miller-Rabin test, exact below PSI_12 and refusing (DegreeTooLarge) at or
@@ -126,6 +127,14 @@ def _rho(m):
     raise InternalInvariantViolation(f"rho found no factor of {m}")
 
 
+def _has_order(x, m, p, qs):
+    """Whether x has multiplicative order exactly m modulo the prime p, for m
+    dividing p-1 with distinct prime factors qs.  x^(p-1) = 1 holds for every
+    unit, so the full order p-1 costs no power beyond those by qs."""
+    return (0 < x < p and (m == p - 1 or pow(x, m, p) == 1)
+            and all(pow(x, m // q, p) != 1 for q in qs))
+
+
 def group_unit_generator(p, squares_only=False):
     """Smallest positive generator of F_p^* (or of its subgroup of squares).
 
@@ -139,11 +148,22 @@ def group_unit_generator(p, squares_only=False):
     target = (p - 1) // 2 if squares_only else p - 1
     qs = _prime_factors(target)
     for r in range(2, p):
-        if squares_only and pow(r, (p - 1) // 2, p) != 1:
-            continue
-        if all(pow(r, target // q, p) != 1 for q in qs):
+        if _has_order(r, target, p, qs):
             return r
     raise InternalInvariantViolation(f"no generator found modulo {p}")
+
+
+def unit_fields(p, squares_only, r=None):
+    """(r, s, kappa) modulo the prime p: r generates F_p^* (or, with
+    squares_only, its squares) and has order kappa, and s(r-1) = -1 (mod p)
+    with s in [1, p-1].  r defaults to the smallest such generator; a given r
+    is checked."""
+    kappa = (p - 1) // 2 if squares_only else p - 1
+    if r is None:
+        r = group_unit_generator(p, squares_only)
+    elif not _has_order(r, kappa, p, _prime_factors(kappa)):
+        raise InternalInvariantViolation(f"r = {r} does not have order {kappa} modulo {p}")
+    return r, (-pow(r - 1, -1, p)) % p, kappa
 
 
 def find_glue_prime(n, kind):
@@ -196,26 +216,51 @@ class ParamSet:
         return cls(**data)
 
 
-def _base_fields(kind, p, r=None):
-    """r, s, alpha, kappa for the degree-(p+2) base case of the given kind."""
-    if kind == "Alt":
-        if p % 12 != 11 or not is_prime(p):
-            raise BadPrimeClass(f"Alt base case needs a prime p = 11 (mod 12), got {p}")
-        kappa = (p - 1) // 2
-        if r is None:
-            r = group_unit_generator(p, squares_only=True)
+def case_of(ps):
+    """The construction case a ParamSet describes, read from its fields."""
+    return "P3" if ps.j is not None else "BaseP2" if ps.k is None else "Glued"
+
+
+def require_prime_class(kind, case, p):
+    """BadPrimeClass unless p is a prime of the class the case needs: p > 3
+    with 3 not dividing p for the degree p+3 case, otherwise p = 11 (mod 12)
+    for Alt and p > 3 with p = 2 (mod 3) for Sym."""
+    if case == "P3":
+        ok, need = p > 3 and p % 3, "degree p+3 case needs a prime p > 3 with 3 not dividing p"
+    elif kind == "Alt":
+        ok, need = p % 12 == 11, "Alt case needs a prime p = 11 (mod 12)"
     else:
-        if p <= 3 or p % 3 != 2 or not is_prime(p):
-            raise BadPrimeClass(f"Sym base case needs a prime p > 3, p = 2 (mod 3), got {p}")
-        kappa = p - 1
-        if r is None:
-            r = group_unit_generator(p, squares_only=False)
-    s = (-pow(r - 1, -1, p)) % p  # s(r-1) = -1 (mod p), stored in [1, p-1]
-    e = pow(3, -1, kappa)  # gcd(3, kappa) = 1 in both prime classes
-    alpha = pow(r, e, p)
-    if pow(alpha, 3, p) != r:
-        raise InternalInvariantViolation(f"cube root of {r} failed modulo {p}")
-    return r, s, alpha, kappa
+        ok, need = p > 3 and p % 3 == 2, "Sym case needs a prime p > 3 with p = 2 (mod 3)"
+    if not ok or not is_prime(p):
+        raise BadPrimeClass(f"{need}, got {p}")
+
+
+def _fields(kind, case, n, p, r=None, j=None):
+    """The ParamSet of a case at the prime p from its free choices r and j,
+    each the smallest generator when None; n is read in the glued case only.
+
+    Every other field follows: s and kappa from r, the cube root alpha = r^e
+    with 3e = 1 (mod kappa), unique since gcd(3, kappa) = 1 in both prime
+    classes, k = 2p+4-n, jbar = 1/j and k_sl = p mod 3."""
+    require_prime_class(kind, case, p)
+    if case == "P3":
+        k_sl = p % 3
+        if j is None:
+            j = group_unit_generator(p)
+            if (j * k_sl) % 2 == 1:
+                j -= p  # keep j*k_sl even so the diagonal form of v holds
+        elif (j * k_sl) % 2 == 1 or not _has_order(j % p, p - 1, p, _prime_factors(p - 1)):
+            raise InternalInvariantViolation(
+                f"j = {j} is not a generator modulo {p} with j*k_sl even")
+        return ParamSet(kind="Alt", n=p + 3, p=p, j=j, jbar=pow(j, -1, p), k_sl=k_sl)
+    r, s, kappa = unit_fields(p, kind == "Alt", r)
+    alpha = pow(r, pow(3, -1, kappa), p)
+    if case == "BaseP2":
+        return ParamSet(kind=kind, n=p + 2, p=p, r=r, s=s, alpha=alpha, kappa=kappa)
+    k, k_hi = 2 * p + 4 - n, p + 1 if kind == "Sym" else p
+    if not 6 <= k <= k_hi:
+        raise InternalInvariantViolation(f"k = {k} outside [6, {k_hi}]")
+    return ParamSet(kind=kind, n=n, p=p, k=k, r=r, s=s, alpha=alpha, kappa=kappa)
 
 
 def derive_params(kind, case, n=None, p=None):
@@ -226,86 +271,31 @@ def derive_params(kind, case, n=None, p=None):
     """
     kind = _norm_kind(kind)
     if case == "BaseP2":
-        if p is None:
-            p = n - 2
-        r, s, alpha, kappa = _base_fields(kind, p)
-        return ParamSet(kind=kind, n=p + 2, p=p, r=r, s=s, alpha=alpha, kappa=kappa)
+        return _fields(kind, case, None, n - 2 if p is None else p)
     if case == "P3":
         if kind != "Alt":
             raise UnsupportedDegree(n if n is not None else (p or 0) + 3,
                                     "the degree p+3 construction is Alt only")
-        if p is None:
-            p = n - 3
-        if p <= 3 or p % 3 == 0 or not is_prime(p):
-            raise BadPrimeClass(f"degree p+3 case needs a prime p > 3 with 3 not dividing p, got {p}")
-        k_sl = p % 3
-        j = group_unit_generator(p)
-        jbar = pow(j, -1, p)
-        if (j * k_sl) % 2 == 1:
-            j -= p  # keep j*k_sl even so the diagonal form of v holds
-        return ParamSet(kind=kind, n=p + 3, p=p, j=j, jbar=jbar, k_sl=k_sl)
+        return _fields(kind, case, None, n - 3 if p is None else p)
     if case == "Glued":
-        p = find_glue_prime(n, kind)
-        k = 2 * p + 4 - n
-        r, s, alpha, kappa = _base_fields(kind, p)
-        return ParamSet(kind=kind, n=n, p=p, k=k, r=r, s=s, alpha=alpha, kappa=kappa)
+        return _fields(kind, case, n, find_glue_prime(n, kind))
     raise InternalInvariantViolation(f"unknown case {case!r}")
 
 
 def validate_params(ps):
     """Check a (possibly hand-edited) ParamSet for internal consistency.
 
-    Accepts non-canonical choices (any valid generator r and any cube root
-    alpha), raising InternalInvariantViolation or BadPrimeClass on genuine
-    violations.  Returns the ParamSet unchanged on success.
+    The free choices are the prime p, the generator r and the generator j;
+    any r of the right order and any j with j*k_sl even are accepted.  Every
+    other field is derived from them as derive_params derives it, alpha
+    included (it is determined by r), and must be equal.  Raises
+    BadPrimeClass for a p outside its class and InternalInvariantViolation
+    for any other violation; returns the ParamSet unchanged on success.
     """
     kind = _norm_kind(ps.kind)
-    p = ps.p
-    if not is_prime(p):
-        raise BadPrimeClass(f"{p} is not prime")
-    if ps.j is not None:  # degree p+3 case
-        if kind != "Alt":
-            raise InternalInvariantViolation("degree p+3 parameters are Alt only")
-        if ps.n != p + 3:
-            raise InternalInvariantViolation(f"n = {ps.n} is not p+3 = {p + 3}")
-        if ps.k_sl != p % 3 or ps.k_sl not in (1, 2):
-            raise InternalInvariantViolation(f"k_sl = {ps.k_sl} is not p mod 3")
-        if (ps.j * ps.k_sl) % 2 == 1:
-            raise InternalInvariantViolation(f"j*k_sl = {ps.j * ps.k_sl} must be even")
-        if not 1 <= ps.jbar <= p - 1 or (ps.j * ps.jbar) % p != 1:
-            raise InternalInvariantViolation(f"jbar = {ps.jbar} is not the inverse of j in [1, p-1]")
-        jpos = ps.j % p
-        qs = _prime_factors(p - 1)
-        if any(pow(jpos, (p - 1) // q, p) == 1 for q in qs):
-            raise InternalInvariantViolation(f"j = {ps.j} does not generate the units modulo {p}")
-        return ps
-    # base or glued case
-    if kind == "Alt":
-        if p % 12 != 11:
-            raise BadPrimeClass(f"Alt case needs p = 11 (mod 12), got {p}")
-        if ps.kappa != (p - 1) // 2:
-            raise InternalInvariantViolation(f"kappa = {ps.kappa} is not (p-1)/2")
-        if pow(ps.r, (p - 1) // 2, p) != 1:
-            raise InternalInvariantViolation(f"r = {ps.r} is not a square modulo {p}")
-    else:
-        if p <= 3 or p % 3 != 2:
-            raise BadPrimeClass(f"Sym case needs p > 3 with p = 2 (mod 3), got {p}")
-        if ps.kappa != p - 1:
-            raise InternalInvariantViolation(f"kappa = {ps.kappa} is not p-1")
-    qs = _prime_factors(ps.kappa)
-    if not 1 <= ps.r <= p - 1 or any(pow(ps.r, ps.kappa // q, p) == 1 for q in qs):
-        raise InternalInvariantViolation(
-            f"r = {ps.r} does not have order {ps.kappa} modulo {p}")
-    if not 1 <= ps.s <= p - 1 or (ps.s * (ps.r - 1)) % p != p - 1:
-        raise InternalInvariantViolation(f"s = {ps.s} does not satisfy s(r-1) = -1 (mod {p})")
-    if not 1 <= ps.alpha <= p - 1 or pow(ps.alpha, 3, p) != ps.r:
-        raise InternalInvariantViolation(f"alpha = {ps.alpha} is not a cube root of r modulo {p}")
-    if ps.k is not None:  # glued case
-        if ps.n != 2 * p + 4 - ps.k:
-            raise InternalInvariantViolation(f"k = {ps.k} is not 2p+4-n")
-        k_hi = p + 1 if kind == "Sym" else p
-        if not 6 <= ps.k <= k_hi:
-            raise InternalInvariantViolation(f"k = {ps.k} outside [6, {k_hi}]")
-    elif ps.n != p + 2:
-        raise InternalInvariantViolation(f"n = {ps.n} is not p+2 = {p + 2}")
+    want = _fields(kind, case_of(ps), ps.n, ps.p, ps.r, ps.j)
+    for f in fields(ps):
+        got, derived = getattr(ps, f.name), getattr(want, f.name)
+        if (kind if f.name == "kind" else got) != derived:
+            raise InternalInvariantViolation(f"{f.name} = {got} is not the derived {derived}")
     return ps

@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import words
-from .errors import (
-    BadPrimeClass,
-    EnumerationTooLarge,
-    InternalInvariantViolation,
-    ParityViolation,
-)
-from .numth import is_prime
+from .errors import EnumerationTooLarge, InternalInvariantViolation, ParityViolation
+from .numth import derive_params, require_prime_class
 from .perm import Permutation
 
 _ENUM_MAX_P = 100
@@ -103,18 +98,13 @@ class Mat2p:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
-def _require_cr_prime(p):
-    if not is_prime(p) or p <= 3:
-        raise BadPrimeClass(f"need a prime p > 3 with 3 not dividing p, got {p}")
-
-
 def gens_tu(p, corrected=True):
     """The matrix generator pair (t, u) of SL(2, p).
 
     Corrected form: both scaled by (-1)^k with k = p mod 3.  The original
     (uncorrected) pair t = [[0,1],[-1,0]], u = [[1,1],[0,1]] fails the first
     defining relator, since t^2 = -(tu)^3 for it."""
-    _require_cr_prime(p)
+    require_prime_class("Alt", "P3", p)
     if not corrected:
         return Mat2p(0, 1, -1, 0, p), Mat2p(1, 1, 0, 1, p)
     sign = -1 if p % 3 == 1 else 1  # (-1)^k, k = p mod 3 in {1, 2}
@@ -151,9 +141,7 @@ def element_v(p, j=None, jbar=None, corrected=True):
     For the corrected generators and j*k even this equals diag(jbar, j);
     j*k odd raises ParityViolation (callers pass j-p instead).  With
     corrected=False the original pair is used, giving -v when k is even."""
-    _require_cr_prime(p)
-    from .numth import derive_params
-
+    require_prime_class("Alt", "P3", p)
     if j is None or jbar is None:
         ps = derive_params("Alt", "P3", p=p)
         j, jbar = ps.j, ps.jbar
@@ -219,8 +207,6 @@ def scan_cr_generator_pairs(p):
     intended for small p only."""
     if p > 31:
         raise EnumerationTooLarge(f"p = {p} is too large for a full pair scan")
-    from .numth import derive_params
-
     ps = derive_params("Alt", "P3", p=p)
     _, r2 = cr_relator_words(p)
     h = h_word(ps.j, ps.jbar, -1)

@@ -267,6 +267,48 @@ class TestVerify:
         assert [r["degree"] for r in reports] == [13, 14]
         assert all(e["identity"] for r in reports for e in r["relators"])
 
+    @pytest.mark.parametrize("degrees,code,count", [
+        ("20..21,13", 2, 2), ("21", 2, 0), ("13..14", 0, 2)])
+    def test_out_is_the_layout_of_json_dump(self, capsys, tmp_path, degrees,
+                                            code, count):
+        # degree 21 is refused, and an all-refused batch writes []
+        target = tmp_path / "reports.json"
+        got, _, _ = run(capsys, "verify", "-n", degrees, "--kind", "alt",
+                        "--depth", "order", "--out", str(target))
+        text = target.read_text()
+        reports = json.loads(text)
+        assert (got, len(reports)) == (code, count)
+        assert text == json.dumps(reports, indent=2) + "\n"
+
+    def test_internal_error_keeps_the_reports_done(self, capsys, monkeypatch,
+                                                   tmp_path):
+        real = builders.presentation_for
+
+        def broken(n, kind, simplify=True):
+            if n == 15:
+                raise InternalInvariantViolation(f"broken at degree {n}")
+            return real(n, kind, simplify=simplify)
+
+        monkeypatch.setattr(builders, "presentation_for", broken)
+        target = tmp_path / "reports.json"
+        code, _, _ = run(capsys, "verify", "-n", "13..16", "--kind", "alt",
+                         "--out", str(target))
+        assert code == 4
+        assert [r["degree"] for r in json.loads(target.read_text())] == [13, 14]
+
+    def test_closed_stdout_keeps_the_reports_done(self, tmp_path):
+        target = tmp_path / "reports.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shortpres.cli", "verify", "-n", "13..4000",
+             "--kind", "alt", "--out", str(target)], env=checkout_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith("degree=13 ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == cli._EXIT_PIPE
+        reports = json.loads(target.read_text())
+        assert reports[0]["degree"] == 13
+        assert [r["degree"] for r in reports] == sorted({r["degree"] for r in reports})
+
 
 class _FakePool:
     """Stands in for ProcessPoolExecutor: runs a task in this process when

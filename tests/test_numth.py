@@ -1,12 +1,15 @@
 """Arithmetic parameter derivation against independently computed values."""
 
+import functools
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
 from shortpres import numth
-from shortpres.builders import params_for
+from shortpres.builders import covered_degrees, params_for
 from shortpres.errors import (
     BadPrimeClass,
     DegreeTooLarge,
@@ -285,7 +288,84 @@ class TestValidateParams:
                 ParamSet(kind="Alt", n=2 * 11 + 4 - 5, p=11, k=5,
                          r=3, s=5, alpha=9, kappa=5))
 
+    def test_p3_free_choice_j(self):
+        # p = 13, k_sl = 1: any even j = 2 (mod 13) is a generator choice
+        assert validate_params(ParamSet(kind="Alt", n=16, p=13, j=28, jbar=7, k_sl=1))
+        with pytest.raises(InternalInvariantViolation):  # j*k_sl odd
+            validate_params(ParamSet(kind="Alt", n=16, p=13, j=15, jbar=7, k_sl=1))
+        with pytest.raises(InternalInvariantViolation):  # 4 has order 6
+            validate_params(ParamSet(kind="Alt", n=16, p=13, j=4, jbar=10, k_sl=1))
+
+    def test_p3_prime_and_kind(self):
+        with pytest.raises(BadPrimeClass):  # 3 is a prime outside the class
+            validate_params(ParamSet(kind="Alt", n=14, p=3, j=2, jbar=6, k_sl=2))
+        with pytest.raises(InternalInvariantViolation):
+            validate_params(ParamSet(kind="Sym", n=14, p=11, j=2, jbar=6, k_sl=2))
+        with pytest.raises(UnsupportedDegree):
+            derive_params("Sym", "P3", p=11)
+
     def test_json_round_trip(self):
         ps = derive_params("Sym", "Glued", n=17)
         assert ParamSet.from_json(ps.to_json()) == ps
         assert "j" not in ps.to_json()
+
+
+@functools.cache
+def _pinned_param_sets():
+    """params_for at every covered degree up to 2000 of both kinds, then
+    derive_params in the base and degree p+3 cases for every p < 200; a
+    refused derivation enters as the name of its exception."""
+    out = [params_for(n, kind) for kind in ("Alt", "Sym")
+           for n in covered_degrees(13, 2000, kind)]
+    for p in range(200):
+        for kind, case in (("Alt", "BaseP2"), ("Sym", "BaseP2"),
+                           ("Alt", "P3"), ("Sym", "P3")):
+            try:
+                out.append(derive_params(kind, case, p=p))
+            except (BadPrimeClass, UnsupportedDegree) as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+def _one_field_mutations(seed=15, per_set=3):
+    """Seeded copies of the pinned ParamSets with one field changed: the kind
+    flipped, or an integer moved by 1, by p, or to a value in [-p, 2p)."""
+    rng = random.Random(seed)
+    for ps in _pinned_param_sets():
+        if not isinstance(ps, ParamSet):
+            continue
+        for _ in range(per_set):
+            data = ps.to_json()
+            name = rng.choice(sorted(data))
+            v = data[name]
+            if name == "kind":
+                data[name] = "Sym" if v == "Alt" else "Alt"
+            else:
+                data[name] = rng.choice(
+                    (v - 1, v + 1, v - ps.p, v + ps.p, rng.randrange(-ps.p, 2 * ps.p)))
+            yield ParamSet.from_json(data)
+
+
+# sha256 over the pinned ParamSets (their JSON or the exception name) and the
+# outcome of validate_params on each one-field mutation ("ok" or the exception
+# name), recorded before validate_params re-derived the fields it checks.
+PARAMS_DIGEST = "6ddaf4f585f53109804b1f49487b647d3a34c19cfc0e666b2a887ac46eca553a"
+
+
+def test_parameter_rules_digest():
+    digest = hashlib.sha256()
+    for ps in _pinned_param_sets():
+        digest.update(json.dumps(ps.to_json() if isinstance(ps, ParamSet) else ps).encode())
+    for ps in _one_field_mutations():
+        try:
+            outcome = "ok" if validate_params(ps) is ps else "other"
+        except (BadPrimeClass, InternalInvariantViolation) as exc:
+            outcome = type(exc).__name__
+        digest.update(json.dumps([ps.to_json(), outcome]).encode())
+    assert digest.hexdigest() == PARAMS_DIGEST
+
+
+def test_derived_params_validate_as_themselves():
+    for ps in _pinned_param_sets():
+        if isinstance(ps, ParamSet):
+            assert validate_params(ps) is ps, ps
