@@ -39,7 +39,6 @@ import numpy as np
 
 from . import numth, sl2, words
 from .errors import (
-    BadPrimeClass,
     InternalInvariantViolation,
     PointOutOfDomain,
     UnsupportedDegree,
@@ -278,10 +277,13 @@ def agl_examples(p, variant, with_extra_relator=False, simplify=True):
     """
     if variant not in _AGL_VARIANTS:
         raise InternalInvariantViolation(f"unknown variant {variant!r}")
+    numth.require_affine_prime(p, variant == "AltAGL2", variant)
+    return _agl(p, variant, with_extra_relator, simplify)
+
+
+def _agl(p, variant, with_extra_relator, simplify):
+    """agl_examples for a prime p already checked to be of its class."""
     squares = variant == "AltAGL2"
-    need = "p > 3 with p = 3 (mod 4)" if squares else "p > 3"
-    if p <= 3 or (squares and p % 4 != 3) or not numth.is_prime(p):
-        raise BadPrimeClass(f"{variant} needs a prime {need}, got {p}")
     r, s, kappa = numth.unit_fields(p, squares)
     ps = ParamSet(kind="Sym" if variant == "SymAGL" else "Alt",
                   n=p + 2, p=p, r=r, s=s, alpha=None, kappa=kappa)

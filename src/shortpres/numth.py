@@ -235,6 +235,15 @@ def require_prime_class(kind, case, p):
         raise BadPrimeClass(f"{need}, got {p}")
 
 
+def require_affine_prime(p, three_mod_four, who):
+    """BadPrimeClass unless p is a prime p > 3 of the affine-line builders;
+    with three_mod_four also p = 3 (mod 4), where -1 is not a square and
+    negation an odd permutation of F_p^* (AltAGL2, the transposition word)."""
+    if p <= 3 or (three_mod_four and p % 4 != 3) or not is_prime(p):
+        need = "p = 3 (mod 4)" if three_mod_four else "p > 3"
+        raise BadPrimeClass(f"{who} targets primes {need}, got {p}")
+
+
 def _fields(kind, case, n, p, r=None, j=None):
     """The ParamSet of a case at the prime p from its free choices r and j,
     each the smallest generator when None; n is read in the glued case only.
@@ -288,14 +297,14 @@ def validate_params(ps):
     The free choices are the prime p, the generator r and the generator j;
     any r of the right order and any j with j*k_sl even are accepted.  Every
     other field is derived from them as derive_params derives it, alpha
-    included (it is determined by r), and must be equal.  Raises
-    BadPrimeClass for a p outside its class and InternalInvariantViolation
-    for any other violation; returns the ParamSet unchanged on success.
+    included (it is determined by r), and must be equal, the kind spelt
+    "Alt" or "Sym".  Raises BadPrimeClass for a p outside its class and
+    InternalInvariantViolation for any other violation; returns the
+    ParamSet unchanged on success.
     """
-    kind = _norm_kind(ps.kind)
-    want = _fields(kind, case_of(ps), ps.n, ps.p, ps.r, ps.j)
+    want = _fields(_norm_kind(ps.kind), case_of(ps), ps.n, ps.p, ps.r, ps.j)
     for f in fields(ps):
         got, derived = getattr(ps, f.name), getattr(want, f.name)
-        if (kind if f.name == "kind" else got) != derived:
+        if got != derived:
             raise InternalInvariantViolation(f"{f.name} = {got} is not the derived {derived}")
     return ps

@@ -1,18 +1,19 @@
 """Machine verification of presentations.
 
 check_relators evaluates every relator of a presentation under its concrete
-generator images and reports cycle types.  certify_order returns the
-exact group order as an arbitrary-precision integer, proved in one of two
-ways.  The Jordan certificate, O(n) in numpy at any degree, shows that the
-group is transitive and holds a prime cycle that makes it primitive and, by
-Jordan's theorems, contains A_n; the parities of the generators then decide
-between n!/2 and n!.  Where no such witness is found, a deterministic
-Schreier-Sims construction (no randomization, at most 64 points) certifies
-the order by one of two facts: every Schreier generator of the resulting
-chain has been sifted to the identity, which by Schreier's lemma pins the
-order exactly; or the product of the orbit lengths, a lower bound on the
-order, has reached the parity bound n! (or n!/2 when every generator is
-even), an upper bound on it.
+generator images and reports cycle types.  certify_order returns the exact
+group order as n!/index, n the number of points and index the number the
+proof decides, so n! is formed only when int() asks for it.  It is proved
+in one of two ways.  The Jordan certificate, O(n) in numpy at any degree,
+shows that the group is transitive and holds a prime cycle that makes it
+primitive and, by Jordan's theorems, contains A_n; the parities of the
+generators then decide between n!/2 and n!.  Where no such witness is
+found, a deterministic Schreier-Sims construction (no randomization, at
+most 64 points) certifies the order by one of two facts: every Schreier
+generator of the resulting chain has been sifted to the identity, which by
+Schreier's lemma pins the order exactly; or the product of the orbit
+lengths, a lower bound on the order, has reached the parity bound n! (or
+n!/2 when every generator is even), an upper bound on it.
 
 falsify_original re-evaluates the uncorrected variants of the constructions
 (wrong special-linear generator signs, wrong conjugating order in the
@@ -23,7 +24,6 @@ is built from the words and images the builders emit.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
@@ -33,7 +33,6 @@ import numpy as np
 
 from . import builders, numth, sl2
 from .errors import (
-    BadPrimeClass,
     DegreeTooLarge,
     DomainMismatch,
     EnumerationTooLarge,
@@ -51,10 +50,11 @@ from .words import (
 )
 
 _MAX_POINTS = 64
-# orders at or above this are written as n! or n!/2: their decimal would pass
-# the interpreter's default int-to-str limit (from degree 1559 on); 4300 is
-# that default, for interpreters older than 3.10.7 that have no limit
-_DECIMAL_LIMIT = 10 ** getattr(sys.int_info, "default_max_str_digits", 4300)
+# orders whose natural log reaches this are written as n! or n!/2: their
+# decimal would pass the interpreter's default int-to-str limit (from degree
+# 1559 on); 4300 is that default, for interpreters older than 3.10.7 that
+# have no limit
+_LOG_DECIMAL_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300) * math.log(10)
 
 
 @dataclass
@@ -64,7 +64,7 @@ class VerificationReport:
     case: str
     relators: list
     order_certified: bool = False
-    order: int = None
+    order: CertifiedOrder = None
     millis: int = 0
     details: dict = field(default_factory=dict)
 
@@ -86,36 +86,42 @@ class VerificationReport:
             "case": self.case,
             "relators": self.relators,
             "order_certified": self.order_certified,
-            "order": printable_order(self.order, self.degree),
+            "order": printable_order(self.order),
             "millis": self.millis,
         }
         if self.details:
             out["details"] = dict(self.details)
             if "expected_order" in self.details:
                 out["details"]["expected_order"] = printable_order(
-                    self.details["expected_order"], self.degree)
+                    self.details["expected_order"])
         return out
 
 
-@functools.lru_cache(maxsize=1)
-def _factorial(n):
-    """n!, kept for the last n: one report asks for it several times, and at
-    n = 10^6 it takes seconds."""
-    return math.factorial(n)
+@dataclass(frozen=True)
+class CertifiedOrder:
+    """The order n!/index of a group on n = `degree` points, compared by
+    (degree, index); int() makes the integer.  `certificate` names how the
+    order was proved (None for an expected order)."""
+
+    degree: int
+    index: int
+    certificate: dict = field(default=None, compare=False)
+
+    def __int__(self):
+        return math.factorial(self.degree) // self.index
 
 
-def printable_order(order, n):
-    """The order itself while its decimal is short enough to print, else the
-    text n! or n!/2, the only orders that long (None stays None)."""
-    if order is None or order < _DECIMAL_LIMIT:
-        return order
-    full = _factorial(n)
-    if order == full:
-        return f"{n}!"
-    if order == full // 2:
-        return f"{n}!/2"
-    raise InternalInvariantViolation(f"an order of degree {n} is neither "
-                                     f"{n}! nor {n}!/2 but too long to print")
+def printable_order(order):
+    """The order as an int while its decimal is short enough to print, else
+    n! or n!/2, the only orders that long (None stays None).  The length
+    comes from lgamma(n+1) = ln n!, whose error is far below the 1.4 nats by
+    which the orders nearest the limit miss it."""
+    if order is None:
+        return None
+    n, index = order.degree, order.index
+    if math.lgamma(n + 1) - math.log(index) < _LOG_DECIMAL_LIMIT:
+        return int(order)
+    return f"{n}!" if index == 1 else f"{n}!/{index}"
 
 
 def _cycle_type_json(value):
@@ -262,18 +268,6 @@ def _chain_order(gens, bound):
 # Groups, Thm 13.9), or holding a 3-cycle (Thm 13.3), contains A_n.
 
 
-class CertifiedOrder(int):
-    """A group order; `certificate` names how it was proved."""
-
-    def __new__(cls, order, certificate):
-        self = super().__new__(cls, order)
-        self.certificate = certificate
-        return self
-
-    def __getnewargs__(self):  # for pickle and copy
-        return int(self), self.certificate
-
-
 def _cycle_lengths(least):
     """Lengths of the nontrivial cycles, given the cycle minima."""
     counts = np.bincount(least)
@@ -333,16 +327,16 @@ def _jordan(gens, minima, lengths):
     return None
 
 
-def certify_order(gens, expected=None):
+def certify_order(gens):
     """Exact order of the group generated by permutations.  Deterministic.
-    The result is a CertifiedOrder, an int whose `certificate` says which
+    The result is a CertifiedOrder n!/index whose `certificate` says which
     proof below holds.
 
     The Jordan certificate applies at any degree: the group is transitive,
     a generator is one q-cycle with q prime and 2q > n, and either
     q <= n - 3 or some computed power of a generator is a 3-cycle.  The
-    group then contains A_n, and its order is n! if a generator is odd,
-    n!/2 if not.
+    group then contains A_n, and its index in S_n is 1 if a generator is
+    odd, 2 if not.
 
     Without such a witness the domain is limited to 64 points, and a
     stabilizer chain certifies the order in one of two ways.  Either every
@@ -358,43 +352,36 @@ def certify_order(gens, expected=None):
                 f"order certification needs permutations, got "
                 f"{type(g).__name__}")
     gens = [g for g in gens if not g.is_identity()]
-    if gens:
-        lo, hi = gens[0].lo, gens[0].hi
-        for g in gens:
-            if (g.lo, g.hi) != (lo, hi):
-                raise DomainMismatch("generators act on different point ranges")
-        n = hi - lo + 1
-        minima = [g.cycle_minima() for g in gens]
-        lengths = [_cycle_lengths(least) for least in minima]
-        bound = _factorial(n)
-        if not any((lens.sum() - lens.size) % 2 for lens in lengths):
-            bound //= 2
-        certificate = _jordan(gens, minima, lengths)
-        if certificate is not None:
-            order = bound
-        elif n > _MAX_POINTS:
+    if not gens:
+        return CertifiedOrder(1, 1, {"method": "trivial"})  # 1!/1 = 1
+    lo, hi = gens[0].lo, gens[0].hi
+    for g in gens:
+        if (g.lo, g.hi) != (lo, hi):
+            raise DomainMismatch("generators act on different point ranges")
+    n = hi - lo + 1
+    minima = [g.cycle_minima() for g in gens]
+    lengths = [_cycle_lengths(least) for least in minima]
+    index = 1 if any((lens.sum() - lens.size) % 2 for lens in lengths) else 2
+    certificate = _jordan(gens, minima, lengths)
+    if certificate is None:
+        if n > _MAX_POINTS:
             raise EnumerationTooLarge(
                 f"order certification limited to {_MAX_POINTS} points, "
                 f"got {n}")
-        else:
-            certificate = {"method": "schreier-sims"}
-            order = _chain_order([tuple(g.images.tolist()) for g in gens],
-                                 bound)
-    else:
-        order, certificate = 1, {"method": "trivial"}
-    if expected is not None and order != expected:
-        raise InternalInvariantViolation(
-            f"certified order {order}, expected {expected}")
-    return CertifiedOrder(order, certificate)
+        certificate = {"method": "schreier-sims"}
+        full = math.factorial(n)
+        index = full // _chain_order([tuple(g.images.tolist()) for g in gens],
+                                     full // index)
+    return CertifiedOrder(n, index, certificate)
 
 
 def expected_symmetry_order(pres):
-    """n!/2 or n! according to what the presentation claims to present."""
-    full = _factorial(pres.degree)
+    """n! or n!/2 according to what the presentation claims to present, or
+    None where it claims neither."""
     if pres.kind == "Sym" or pres.case == "moore":
-        return full
+        return CertifiedOrder(pres.degree, 1)
     if pres.kind == "Alt" or pres.case == "carmichael":
-        return full // 2
+        return CertifiedOrder(pres.degree, 2)
     return None
 
 
@@ -409,7 +396,7 @@ def verify_presentation(pres, depth="relators"):
         else:
             t0 = time.perf_counter()
             order = certify_order([pres.images[t] for t in pres.slp.generators])
-            report.order = int(order)
+            report.order = order
             report.order_certified = True
             report.details["certificate"] = order.certificate
             report.details["expected_order"] = expected
@@ -489,13 +476,11 @@ def _falsify_p3(which, p):
 
 
 def _falsify_transposition(p):
-    if not numth.is_prime(p) or p < 5 or p % 4 != 3:
-        # the word is only used when negation is an odd permutation of the
-        # field points, i.e. for p = 3 (mod 4)
-        raise BadPrimeClass(
-            f"the transposition word targets primes p = 3 (mod 4), got {p}")
+    # the word is only used when negation is an odd permutation of the field
+    # points, i.e. for p = 3 (mod 4)
+    numth.require_affine_prime(p, True, "the transposition word")
     # a, b and z act on 1..p+2 as in the degree-(p+2) Sym presentation
-    images = builders.agl_examples(p, "SymAGL", with_extra_relator=True).images
+    images = builders._agl(p, "SymAGL", True, True).images
     a, z, b, x = sym("a"), sym("z"), sym("b"), sym("x")
     defs = [("x", builders._d_word(z, a, 0, 1, p, True))]
     defs += builders._transposition_defs(a, b, z, x, p, True)

@@ -194,7 +194,7 @@ def certificate_disagreements(lo, hi):
             order, chain = certify_order(gens), chain_order(gens)
             compared += 1
             if (order.certificate["method"] != "jordan"
-                    or order != want or chain != want):
+                    or int(order) != want or chain != want):
                 bad.append((kind, n, int(order), chain, order.certificate))
     return bad, compared
 

@@ -407,7 +407,7 @@ def test_criterion_10_classical_baselines(verdict):
         order = certify_order(list(pres.images.values()))
         if not all(v.is_identity() for v in values):
             problems.append(f"adjacent-transposition relators at n={n}")
-        if order != math.factorial(n):
+        if int(order) != math.factorial(n):
             problems.append(f"adjacent-transposition order at n={n}")
     for n in range(2, 11):
         pres = carmichael(n)
@@ -415,7 +415,7 @@ def test_criterion_10_classical_baselines(verdict):
         order = certify_order(list(pres.images.values()))
         if not all(v.is_identity() for v in values):
             problems.append(f"three-cycle relators at degree {n + 2}")
-        if order != math.factorial(n + 2) // 2:
+        if int(order) != math.factorial(n + 2) // 2:
             problems.append(f"three-cycle order at degree {n + 2}")
     verdict(
         10,

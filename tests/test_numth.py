@@ -5,11 +5,12 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from shortpres import numth
-from shortpres.builders import covered_degrees, params_for
+from shortpres.builders import covered_degrees, glued, params_for
 from shortpres.errors import (
     BadPrimeClass,
     DegreeTooLarge,
@@ -303,6 +304,16 @@ class TestValidateParams:
             validate_params(ParamSet(kind="Sym", n=14, p=11, j=2, jbar=6, k_sl=2))
         with pytest.raises(UnsupportedDegree):
             derive_params("Sym", "P3", p=11)
+
+    def test_kind_must_be_spelt_as_derived(self):
+        # a lower-case kind would pass the builders' ps.kind == "Alt" tests
+        # as Sym, so it is refused by name before any builder reads it
+        ps = replace(derive_params("Alt", "Glued", n=17), kind="alt")
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^kind = alt is not the derived Alt$"):
+            validate_params(ps)
+        with pytest.raises(InternalInvariantViolation, match=r"^kind = alt "):
+            glued(17, "alt", params=ps)
 
     def test_json_round_trip(self):
         ps = derive_params("Sym", "Glued", n=17)

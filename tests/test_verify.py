@@ -40,6 +40,7 @@ from shortpres.errors import (
 from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import (
     FALSIFICATION_TARGETS,
+    CertifiedOrder,
     certify_order,
     check_relators,
     expected_symmetry_order,
@@ -84,54 +85,51 @@ def _closure_size(images):
 class TestCertifyOrder:
     def test_symmetric_group(self):
         gens = [P("(1,2)", 1, 5), P("(1,2,3,4,5)", 1, 5)]
-        assert certify_order(gens) == 120
-        assert certify_order(gens, expected=120) == 120
+        assert int(certify_order(gens)) == 120
 
-    def test_result_is_an_int_naming_its_certificate(self):
+    def test_result_names_degree_index_and_certificate(self):
         got = certify_order([P("(1,2)", 1, 5), P("(1,2,3,4,5)", 1, 5)])
-        assert isinstance(got, int)
+        assert (got.degree, got.index) == (5, 1)
         assert got.certificate == {"method": "schreier-sims"}
         again = pickle.loads(pickle.dumps(got))
-        assert (again, again.certificate) == (120, got.certificate)
-        assert certify_order([]).certificate == {"method": "trivial"}
+        assert (again, again.certificate) == (got, got.certificate)
+        assert got == CertifiedOrder(5, 1) != CertifiedOrder(5, 2)
+        got = certify_order([])
+        assert (int(got), got.certificate) == (1, {"method": "trivial"})
 
     def test_alternating_group(self):
         gens = [P("(1,2,3)", 1, 4), P("(2,3,4)", 1, 4)]
-        assert certify_order(gens) == 12
+        assert int(certify_order(gens)) == 12
         assert chain_order(gens) == 12
 
     def test_cyclic_and_trivial(self):
-        assert certify_order([P("(1,2,3,4,5,6)", 1, 6)]) == 6
-        assert certify_order([P("(1,2,3)(4,5,6,7,8)", 1, 8)]) == 15
-        assert certify_order([Permutation.identity(1, 6)]) == 1
-        assert certify_order([]) == 1
+        assert int(certify_order([P("(1,2,3,4,5,6)", 1, 6)])) == 6
+        assert int(certify_order([P("(1,2,3)(4,5,6,7,8)", 1, 8)])) == 15
+        assert int(certify_order([Permutation.identity(1, 6)])) == 1
+        assert int(certify_order([])) == 1
 
     def test_intransitive_direct_product(self):
         gens = [P("(1,2)", 1, 5), P("(3,4,5)", 1, 5)]
-        assert certify_order(gens) == 6
+        assert int(certify_order(gens)) == 6
 
     def test_dihedral(self):
         gens = [P("(1,2,3,4,5)", 1, 5), P("(2,5)(3,4)", 1, 5)]
-        assert certify_order(gens) == 10
+        assert int(certify_order(gens)) == 10
 
     def test_presentation_images_certify_to_factorials(self):
         pres = base_p2(11, "Alt")
         gens = [pres.images[t] for t in pres.slp.generators]
-        assert certify_order(gens) == math.factorial(13) // 2
+        assert int(certify_order(gens)) == math.factorial(13) // 2
         assert chain_order(gens) == math.factorial(13) // 2
         pres = presentation_for(16, "Sym")
         gens = [pres.images[t] for t in pres.slp.generators]
-        assert certify_order(gens) == math.factorial(16)
+        assert int(certify_order(gens)) == math.factorial(16)
         assert chain_order(gens) == math.factorial(16)
 
     def test_conjugated_generators_keep_the_order(self):
         c = P("(1,3,7)(2,6)(4,5)", 1, 7)
         gens = [P("(1,2)", 1, 7).conjugate(c), P("(1,2,3,4,5,6,7)", 1, 7).conjugate(c)]
-        assert certify_order(gens) == math.factorial(7)
-
-    def test_expected_mismatch_raises(self):
-        with pytest.raises(InternalInvariantViolation):
-            certify_order([P("(1,2)", 1, 3)], expected=3)
+        assert int(certify_order(gens)) == math.factorial(7)
 
     def test_domain_guards(self):
         with pytest.raises(EnumerationTooLarge):
@@ -147,7 +145,7 @@ class TestCertifyOrder:
     def test_mathieu_group_m12(self):
         gens = [P(_cycle(1, 11), 1, 12), P("(3,7,11,8)(4,10,5,6)", 1, 12),
                 P("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 1, 12)]
-        assert certify_order(gens) == 95040
+        assert int(certify_order(gens)) == 95040
         # an 11-cycle, q = n - 1, and no 3-cycle
         assert _method(gens) == "schreier-sims"
 
@@ -159,7 +157,7 @@ class TestCertifyOrder:
             P("(1,24)(2,23)(3,12)(4,16)(5,18)(6,10)(7,20)(8,14)(9,21)"
               "(11,17)(13,22)(15,19)", 1, 24),
         ]
-        assert certify_order(gens) == 244823040
+        assert int(certify_order(gens)) == 244823040
         # a 23-cycle, q = n - 1, and no 3-cycle
         assert _method(gens) == "schreier-sims"
 
@@ -173,7 +171,7 @@ class TestCertifyOrder:
     def test_full_symmetric_and_all_even_alternating(self, first, long_cycle,
                                                      n, order):
         gens = [P(first, 1, n), P(_cycle(*long_cycle), 1, n)]
-        assert certify_order(gens) == order
+        assert int(certify_order(gens)) == order
         assert chain_order(gens) == order
 
     @pytest.mark.parametrize("gens,order", [
@@ -207,7 +205,7 @@ class TestCertifyOrder:
         lo, images = case
         gens = [Permutation([x + lo for x in im], lo) for im in images]
         size = _closure_size(images)
-        assert certify_order(gens) == size
+        assert int(certify_order(gens)) == size
         if any(not g.is_identity() for g in gens):
             assert chain_order(gens) == size
 
@@ -231,7 +229,7 @@ class TestCertifyOrder:
         if order < 10**4:
             assert _closure_size([tuple(g.images.tolist())
                                   for g in gens]) == order
-        assert certify_order(gens) == order
+        assert int(certify_order(gens)) == order
         assert _method(gens) == "schreier-sims"
 
     @pytest.mark.parametrize("cycles,n,order,q,three", [
@@ -250,7 +248,7 @@ class TestCertifyOrder:
                                                three):
         gens = [P(c, 1, n) for c in cycles]
         got = certify_order(gens)
-        assert got == order
+        assert int(got) == order
         assert got.certificate == {"method": "jordan", "q": q,
                                    "three_cycle": three}
 
@@ -261,7 +259,7 @@ class TestCertifyOrder:
         assert certify_order(gens).certificate["three_cycle"]
         monkeypatch.setattr(Permutation, "__pow__", lambda g, e: g)
         got = certify_order(gens)
-        assert got == math.factorial(13) // 2
+        assert int(got) == math.factorial(13) // 2
         assert got.certificate == {"method": "schreier-sims"}
 
     @pytest.mark.slow
@@ -396,8 +394,8 @@ class TestVerifyPresentation:
         report = verify_presentation(presentation_for(n, kind), depth="order")
         assert report.order_certified
         want = math.factorial(n) // (2 if kind == "Alt" else 1)
-        assert report.order == want
-        assert report.details["expected_order"] == want
+        assert int(report.order) == want
+        assert int(report.details["expected_order"]) == want
         assert report.details["order_matches"] and report.ok
 
     def test_order_depth_skips_pair_images(self):
@@ -410,16 +408,16 @@ class TestVerifyPresentation:
         pres = presentation_for(13, "Alt")
         pres.kind = "Sym"  # claim the full symmetric group
         report = verify_presentation(pres, depth="order")
-        assert report.order == math.factorial(13) // 2
+        assert int(report.order) == math.factorial(13) // 2
         assert not report.details["order_matches"]
         assert not report.ok
 
     def test_baseline_presentations_certify(self):
         report = verify_presentation(moore(6), depth="order")
-        assert report.order == 720
+        assert int(report.order) == 720
         assert report.details["certificate"] == {"method": "schreier-sims"}
         report = verify_presentation(carmichael(5), depth="order")
-        assert report.order == math.factorial(7) // 2
+        assert int(report.order) == math.factorial(7) // 2
         assert report.details["certificate"] == {"method": "schreier-sims"}
 
     @pytest.mark.parametrize("n,kind,three", [
@@ -432,16 +430,41 @@ class TestVerifyPresentation:
     def test_order_depth_names_the_certificate(self, n, kind, three):
         pres = presentation_for(n, kind)
         report = verify_presentation(pres, depth="order")
-        assert report.ok and type(report.order) is int
-        assert report.order == math.factorial(n) // (2 if kind == "Alt" else 1)
+        assert report.ok and type(report.to_json()["order"]) is int
+        assert int(report.order) == math.factorial(n) // (2 if kind == "Alt" else 1)
         q = pres.params.p
         assert report.details["certificate"] == {
             "method": "jordan", "q": q, "three_cycle": three}
         assert report.to_json()["details"]["certificate"]["q"] == q
 
+    def test_symbolic_orders_never_build_the_factorial(self, monkeypatch):
+        # 1559!/2 is the least order of any covered degree past 4300 digits
+        real = math.factorial
+
+        def guarded(n):
+            assert n < 1559, f"{n}! built for an order printed as {n}!"
+            return real(n)
+
+        monkeypatch.setattr(math, "factorial", guarded)
+        for n, kind, want in [(20001, "Sym", "20001!"),
+                              (20002, "Alt", "20002!/2")]:
+            data = verify_presentation(presentation_for(n, kind),
+                                       depth="order").to_json()
+            assert data["order"] == data["details"]["expected_order"] == want
+            assert data["details"]["order_matches"]
+
+    def test_printed_orders_follow_the_integers(self):
+        limit = 10 ** getattr(sys.int_info, "default_max_str_digits", 4300)
+        full = 1
+        for n in range(1, 3001):
+            full *= n
+            for index, text in [(1, f"{n}!"), (2, f"{n}!/2")]:
+                want = full // index if full // index < limit else text
+                assert verify.printable_order(CertifiedOrder(n, index)) == want
+
     def test_expected_symmetry_order_table(self):
-        assert expected_symmetry_order(presentation_for(14, "Sym")) == math.factorial(14)
-        assert expected_symmetry_order(alt_p3(11)) == math.factorial(14) // 2
+        assert int(expected_symmetry_order(presentation_for(14, "Sym"))) == math.factorial(14)
+        assert int(expected_symmetry_order(alt_p3(11))) == math.factorial(14) // 2
         assert expected_symmetry_order(base_p2_hat(11, "Alt")) is None
 
 
@@ -512,4 +535,4 @@ class TestAglOrderCertification:
     def test_extra_relator_collapses_to_the_full_group(self, variant, order):
         pres = agl_examples(11, variant, with_extra_relator=True)
         gens = [pres.images[t] for t in pres.slp.generators]
-        assert certify_order(gens, expected=order) == order
+        assert int(certify_order(gens)) == order
