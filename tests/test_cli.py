@@ -199,6 +199,25 @@ def test_falsify_output_digest(capsys, p):
     assert hashlib.sha256(out.encode()).hexdigest() == FALSIFY_DIGESTS[p]
 
 
+# exit code and sha256 of the stdout of `emit --format json`: one indented
+# record, NDJSON over a range holding uncovered degrees (exit 2), and records
+# above the materialization cap, whose images are null.
+JSON_DIGESTS = {
+    ("-n", "17", "--kind", "sym"): (
+        0, "89e7584868df9cc65c08f1ea562557abb51af52705a1c7e263360fd099fdc3a4"),
+    ("-n", "13..120", "--kind", "both"): (
+        2, "0c51f8a62ed8d6853d8dcc2a523f6638f4d2487e2b6d806e6b981ceddb727f28"),
+    ("-n", "10000019", "--kind", "both"): (
+        0, "ab1e580b5853cfc6025d938f60d02573eff06d814cb74a1162b704596a16bf71"),
+}
+
+
+@pytest.mark.parametrize("options", list(JSON_DIGESTS))
+def test_emit_json_digest(capsys, options):
+    code, out, _ = run(capsys, "emit", *options, "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == JSON_DIGESTS[options]
+
+
 class TestVerify:
     def test_relator_depth_lines(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "13..15")
