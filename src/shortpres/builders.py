@@ -68,12 +68,6 @@ class Presentation:
             return None
         return self.build_images()
 
-    def bit_length(self):
-        return self.slp.bit_length()
-
-    def word_length(self):
-        return self.slp.word_length()
-
 
 # ---------------------------------------------------------------------------
 # baseline families
@@ -492,15 +486,14 @@ def _telescope_defs(k, dw, za, y):
     ]
 
 
-def glue_map_image(p, k, kind, lo=None, hi=None):
-    """The image of y: pairs (k-p-1+t, p+2-t); for Alt with n even the first
-    two pairs close up into a 4-cycle to keep the permutation even.
+def glue_map_image(p, k, kind, lo, hi):
+    """The image of y on [lo, hi]: pairs (k-p-1+t, p+2-t); for Alt with n
+    even the first two pairs close up into a 4-cycle to keep the permutation
+    even.
 
     The pairs are the reflection of [k-p-1, 0] onto [k+1, p+2], fixing 1..k.
     """
     left, right = k - p - 1, p + 2
-    if lo is None:
-        lo, hi = left, right
     for x in (left, right):
         if not lo <= x <= hi:
             raise PointOutOfDomain(x, lo, hi)

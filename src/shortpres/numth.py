@@ -143,6 +143,11 @@ def group_unit_generator(p, squares_only=False):
     """
     if not is_prime(p):
         raise BadPrimeClass(f"{p} is not prime")
+    return _unit_generator(p, squares_only)
+
+
+def _unit_generator(p, squares_only):
+    """group_unit_generator for a p already proven prime."""
     if p == 2:
         return 1
     target = (p - 1) // 2 if squares_only else p - 1
@@ -157,10 +162,11 @@ def unit_fields(p, squares_only, r=None):
     """(r, s, kappa) modulo the prime p: r generates F_p^* (or, with
     squares_only, its squares) and has order kappa, and s(r-1) = -1 (mod p)
     with s in [1, p-1].  r defaults to the smallest such generator; a given r
-    is checked."""
+    is checked.  p is not proven prime again: the caller has checked its
+    class."""
     kappa = (p - 1) // 2 if squares_only else p - 1
     if r is None:
-        r = group_unit_generator(p, squares_only)
+        r = _unit_generator(p, squares_only)
     elif not _has_order(r, kappa, p, _prime_factors(kappa)):
         raise InternalInvariantViolation(f"r = {r} does not have order {kappa} modulo {p}")
     return r, (-pow(r - 1, -1, p)) % p, kappa
@@ -211,10 +217,6 @@ class ParamSet:
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if getattr(self, f.name) is not None}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
-
 
 def case_of(ps):
     """The construction case a ParamSet describes, read from its fields."""
@@ -247,15 +249,16 @@ def require_affine_prime(p, three_mod_four, who):
 def _fields(kind, case, n, p, r=None, j=None):
     """The ParamSet of a case at the prime p from its free choices r and j,
     each the smallest generator when None; n is read in the glued case only.
+    p is already proven prime of its class, by find_glue_prime or
+    require_prime_class, and is not proven again.
 
     Every other field follows: s and kappa from r, the cube root alpha = r^e
     with 3e = 1 (mod kappa), unique since gcd(3, kappa) = 1 in both prime
     classes, k = 2p+4-n, jbar = 1/j and k_sl = p mod 3."""
-    require_prime_class(kind, case, p)
     if case == "P3":
         k_sl = p % 3
         if j is None:
-            j = group_unit_generator(p)
+            j = _unit_generator(p, False)
             if (j * k_sl) % 2 == 1:
                 j -= p  # keep j*k_sl even so the diagonal form of v holds
         elif (j * k_sl) % 2 == 1 or not _has_order(j % p, p - 1, p, _prime_factors(p - 1)):
@@ -279,16 +282,17 @@ def derive_params(kind, case, n=None, p=None):
     Alt only), "Glued" (needs n; picks p via find_glue_prime).
     """
     kind = _norm_kind(kind)
-    if case == "BaseP2":
-        return _fields(kind, case, None, n - 2 if p is None else p)
-    if case == "P3":
-        if kind != "Alt":
-            raise UnsupportedDegree(n if n is not None else (p or 0) + 3,
-                                    "the degree p+3 construction is Alt only")
-        return _fields(kind, case, None, n - 3 if p is None else p)
     if case == "Glued":
         return _fields(kind, case, n, find_glue_prime(n, kind))
-    raise InternalInvariantViolation(f"unknown case {case!r}")
+    if case not in ("BaseP2", "P3"):
+        raise InternalInvariantViolation(f"unknown case {case!r}")
+    if case == "P3" and kind != "Alt":
+        raise UnsupportedDegree(n if n is not None else (p or 0) + 3,
+                                "the degree p+3 construction is Alt only")
+    if p is None:
+        p = n - (2 if case == "BaseP2" else 3)
+    require_prime_class(kind, case, p)
+    return _fields(kind, case, None, p)
 
 
 def validate_params(ps):
@@ -302,7 +306,9 @@ def validate_params(ps):
     InternalInvariantViolation for any other violation; returns the
     ParamSet unchanged on success.
     """
-    want = _fields(_norm_kind(ps.kind), case_of(ps), ps.n, ps.p, ps.r, ps.j)
+    kind, case = _norm_kind(ps.kind), case_of(ps)
+    require_prime_class(kind, case, ps.p)
+    want = _fields(kind, case, ps.n, ps.p, ps.r, ps.j)
     for f in fields(ps):
         got, derived = getattr(ps, f.name), getattr(want, f.name)
         if got != derived:

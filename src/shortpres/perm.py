@@ -17,7 +17,7 @@ no padding: a product is one gather, an inverse one scatter, with no
 shift back and forth, so they stay cheap up to degrees in the millions.
 `images`, the full array of offsets images[i] = (lo + i)^perm - lo, is
 built each time it is read.  Absolute points appear only at the edges:
-the constructor, __call__, cycles, support and __str__.
+the constructor, __call__, cycles and __str__.
 
 Every gather and scatter of a product, power, inverse or conjugate goes
 through `_take` or `_put`.  From _SPLIT points on, these cut the index
@@ -325,9 +325,6 @@ class Permutation:
         arr = _put(np.empty_like(self.win), self.win, _arange(self.win.size))
         return self._like(arr, self.start)
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, e):
         e = int(e)
         if e == 0:
@@ -419,11 +416,6 @@ class Permutation:
         """Sorted (descending) lengths of the nontrivial cycles; () for identity."""
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
-    def support(self):
-        """The points actually moved, ascending."""
-        base = self.lo + self.start
-        return [int(i) + base for i in self._moved()]
-
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))
 
@@ -451,9 +443,6 @@ class Permutation:
         number of cycles, fixed points included, within the window)."""
         least = self._window_minima()
         return (least.size - np.count_nonzero(least == _arange(least.size))) % 2
-
-    def sign(self):
-        return -1 if self.epsilon() else 1
 
     def __str__(self):
         cyc = self.cycles()

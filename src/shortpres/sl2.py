@@ -81,19 +81,6 @@ class Mat2p:
     def is_identity(self):
         return self._entries() == (1, 0, 0, 1)
 
-    def neg(self):
-        """-M (same determinant)."""
-        return Mat2p(-self.a, -self.b, -self.c, -self.d, self.p)
-
-    def order(self):
-        cap = 2 * self.p * (self.p + 1) + 4
-        m = self
-        for k in range(1, cap + 1):
-            if m.is_identity():
-                return k
-            m = m * self
-        raise InternalInvariantViolation("order exceeded the group bound")
-
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 

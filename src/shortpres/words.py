@@ -89,10 +89,6 @@ class GroupWord:
     def __invert__(self):
         return GroupWord(tuple(Factor(f.base, -f.exp) for f in reversed(self.factors)))
 
-    def conj(self, by):
-        """self^by as a structural conjugate factor."""
-        return GroupWord((Factor(Conj(self, by), 1),))
-
     def is_empty(self):
         return not self.factors
 
@@ -102,7 +98,8 @@ def sym(name):
 
 
 def conj(target, by):
-    return target.conj(by)
+    """target^by as a structural conjugate factor."""
+    return GroupWord((Factor(Conj(target, by), 1),))
 
 
 def comm(left, right):
@@ -304,7 +301,7 @@ class _Parser:
             else:
                 # The parentheses around either conjugation operand are pure
                 # syntax, so drop the group node they would otherwise leave.
-                w = _ungroup(w).conj(_ungroup(self.primary()))
+                w = conj(_ungroup(w), _ungroup(self.primary()))
         return w
 
     def primary(self):
@@ -427,14 +424,6 @@ class Slp:
             "relators": [word_to_json(w) for w in self.relators],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            tuple(data["generators"]),
-            tuple((d["name"], word_from_json(d["word"])) for d in data["definitions"]),
-            tuple(word_from_json(w) for w in data["relators"]),
-        )
-
 
 def _free_symbols(word):
     for f in word.factors:
@@ -470,23 +459,6 @@ def _factor_json(f):
     else:
         node = {"grp": word_to_json(base)}
     return {"base": node, "exp": f.exp}
-
-
-def word_from_json(data):
-    return GroupWord(tuple(_factor_from_json(d) for d in data))
-
-
-def _factor_from_json(d):
-    node = d["base"]
-    if "sym" in node:
-        base = Sym(node["sym"])
-    elif "conj" in node:
-        base = Conj(word_from_json(node["conj"][0]), word_from_json(node["conj"][1]))
-    elif "comm" in node:
-        base = Comm(word_from_json(node["comm"][0]), word_from_json(node["comm"][1]))
-    else:
-        base = word_from_json(node["grp"])
-    return Factor(base, int(d["exp"]))
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class TestBaseP2:
         assert relator_texts(pres) == [
             "a^11 b^-5", "(a^5)^b a^-4", "(z z^a)^2", "h"]
         assert pres.degree == 13 and pres.domain == (1, 13)
-        assert (pres.bit_length(), pres.word_length()) == (70, 167)
+        assert (pres.slp.bit_length(), pres.slp.word_length()) == (70, 167)
 
     def test_sym_uses_double_b_and_full_order(self):
         pres = base_p2(11, "Sym")
@@ -145,7 +145,7 @@ class TestBaseP2:
         pres = base_p2(10000019, "Alt")
         assert pres.degree > MATERIALIZE_MAX_DEGREE
         assert pres.images is None
-        assert pres.bit_length() > 0
+        assert pres.slp.bit_length() > 0
 
     def test_bad_prime_class(self):
         with pytest.raises(BadPrimeClass):
@@ -329,7 +329,7 @@ class TestGlued:
         pres = presentation_for(10_000_100, "Alt")
         assert pres.images is None
         assert pres.params.p == 5000087 and pres.params.k == 78
-        assert pres.bit_length() == 519
+        assert pres.slp.bit_length() == 519
 
 
 def every_k_params(p, kind):
@@ -477,7 +477,7 @@ class TestEmission:
         assert data["degree"] == 17 and data["kind"] == "Sym"
         assert data["params"]["p"] == 11
         assert data["domain"] == [-3, 13]
-        assert Slp.from_json(data["slp"]).to_text() == GOLDEN_SYM_17
+        assert data["slp"] == Slp.from_text(GOLDEN_SYM_17).to_json()
         assert data["images"]["a"] == "(1,2,3,4,5,6,7,8,9,10,11)"
         assert data["images"]["y"] == "(-3,13)(-2,12)(-1,11)(0,10)"
 
@@ -501,7 +501,8 @@ class TestBaselinePresentations:
         assert moore(2).degree == 2
 
     def test_moore_bit_length_is_quadratic_scale(self):
-        assert moore(20).bit_length() > presentation_for(20, "Sym").bit_length()
+        assert (moore(20).slp.bit_length()
+                > presentation_for(20, "Sym").slp.bit_length())
 
     def test_carmichael_counts_and_identity(self):
         pres = carmichael(6)

