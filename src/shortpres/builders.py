@@ -188,6 +188,17 @@ def _a_image(p, lo, hi):
     return Permutation(arr, lo)
 
 
+def _x_image(p, lo, hi):
+    """x -> -1/x on the projective line over F_p: i in 1..p-1 goes to
+    p - 1/i mod p, and p (the field's 0) swaps with p+1 (the infinite point)."""
+    if hi < p + 1:
+        raise PointOutOfDomain(p + 1, lo, hi)
+    arr, _ = _field_points(p, lo, hi)
+    arr[1 - lo:p - lo] = [p - pow(i, -1, p) for i in range(1, p)]
+    arr[p - lo:p + 2 - lo] = p + 1, p
+    return Permutation(arr, lo)
+
+
 def _g_image(ps, lo, hi):
     """alpha-multiplication times (p, p+1, p+2)^kappa.
 
@@ -345,27 +356,10 @@ def alt_p3(p, params=None):
     slp = Slp(("x", "y", "z"), (("h", h_word),), relators)
     lo, hi = 1, p + 3
     return Presentation(slp, "Alt", p + 3, "alt_p3", ps, (lo, hi), lambda: {
-        "x": _relabel_projective(sl2.projective_perm(sl2.gens_tu(p)[0], p), p, hi),
+        "x": _x_image(p, lo, hi),
         "y": _a_image(p, lo, hi),
         "z": Permutation.from_cycles([(p + 1, p + 2, p + 3)], lo, hi),
     })
-
-
-def _relabel_projective(perm, p, hi):
-    """Move a permutation of [0, p] (p = infinite point) onto [1, hi] via the
-    representative embedding: 0 -> p, x -> x, infinity -> p+1."""
-
-    def rep(x):
-        if x == 0:
-            return p
-        if x == p:
-            return p + 1
-        return x
-
-    arr = np.arange(1, hi + 1, dtype=np.int64)
-    for old in range(p + 1):
-        arr[rep(old) - 1] = rep(perm(old))
-    return Permutation(arr, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,7 @@
-"""Determinant-one 2x2 matrices over F_p and their projective action.
+"""Determinant-one 2x2 matrices over F_p.
 
 Mat2p follows the same element protocol as perm.Permutation (left factor
 first, inverse/conjugate/pow), so words evaluate over either carrier.
-projective_perm turns a matrix into its right action on the projective line,
-encoded on the integer interval [0, p]: a point x < p is the line through
-the row vector (1, x), and p stands for the infinite point (0, 1).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from dataclasses import dataclass
 from . import words
 from .errors import EnumerationTooLarge, InternalInvariantViolation, ParityViolation
 from .numth import derive_params, require_prime_class
-from .perm import Permutation
 
 _ENUM_MAX_P = 100
 
@@ -153,36 +149,19 @@ def subgroup_order(p, mats):
         raise EnumerationTooLarge(f"p = {p} exceeds the enumeration bound {_ENUM_MAX_P}")
     if not mats:
         return 1
-    gens = list(mats)
-    seen = {m._entries(): m for m in [gens[0].identity_like()]}
-    frontier = list(seen.values())
+    one = mats[0].identity_like()
+    seen, frontier = {one._entries()}, [one]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gens:
+            for g in mats:
                 prod = m * g
                 key = prod._entries()
                 if key not in seen:
-                    seen[key] = prod
+                    seen.add(key)
                     nxt.append(prod)
         frontier = nxt
     return len(seen)
-
-
-def projective_perm(m, p):
-    """The permutation of [0, p] induced by m acting on P^1(F_p) on the right.
-
-    Point x < p is the class of the row vector (1, x); p is (0, 1).  This is
-    a homomorphism: projective_perm(M*N) = projective_perm(M)*projective_perm(N).
-    """
-    images = []
-    for x in range(p):  # (1, x) . m = (a + x c, b + x d)
-        den = (m.a + x * m.c) % p
-        num = (m.b + x * m.d) % p
-        images.append(num * pow(den, -1, p) % p if den else p)
-    den, num = m.c, m.d  # (0, 1) . m = (c, d)
-    images.append(num * pow(den, -1, p) % p if den % p else p)
-    return Permutation(images, lo=0)
 
 
 def scan_cr_generator_pairs(p):

@@ -423,6 +423,16 @@ def falsify_original(which, p=11):
     raise InternalInvariantViolation(f"unknown falsification target {which!r}")
 
 
+def subgroup_contrast(p):
+    """[|<u, v>|, |<u, v'>|] at a prime p = 11 (mod 12), v and v' the diagonal
+    witnesses of the corrected and the uncorrected generators; None elsewhere."""
+    if p % 12 != 11:
+        return None
+    u = sl2.gens_tu(p)[1]
+    return [sl2.subgroup_order(p, [u, sl2.element_v(p, corrected=c)])
+            for c in (True, False)]
+
+
 def _falsify_sl2(p):
     t_orig, u_orig = sl2.gens_tu(p, corrected=False)
     ok_orig, vals_orig = sl2.check_cr_relators(t_orig, u_orig, p)
@@ -446,7 +456,7 @@ def _falsify_p3(which, p):
     pres = builders.alt_p3(p)
     env = pres.images
     x, y, z = sym("x"), sym("y"), sym("z")
-    j0 = numth.group_unit_generator(p)
+    j0 = pres.params.j % p  # j is the smallest generator or that minus p
     if which == "P3Relator":
         h_word = sl2.h_word(j0, pow(j0, -1, p), -1)
     else:
@@ -492,16 +502,17 @@ def _falsify_transposition(p):
     t_orig = evaluate(v_orig * b ** half, env)
     t_corr = env["t"]
     claimed = Permutation.from_cycles([(p + 1, p + 2)], 1, p + 2)
+    matches = t_orig == claimed
     entries = [{
         "index": 0,
-        "identity": (t_orig * claimed.inverse()).is_identity(),
+        "identity": matches,
         "cycle_type": list(t_orig.cycle_type()),
     }]
     details = {
         "original_value": str(t_orig),
         "corrected_value": str(t_corr),
         "claimed_value": str(claimed),
-        "original_matches": t_orig == claimed,
+        "original_matches": matches,
         "corrected_matches": t_corr == claimed,
         "note": ("the uncorrected bracketing leaves a product of point "
                  "transpositions instead of the top transposition"),

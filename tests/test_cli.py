@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from test_builders import GOLDEN_ALT_17
 
-from shortpres import builders, cli, perm, sl2
+from shortpres import builders, cli, numth, perm, sl2, verify
 from shortpres.cli import main
 from shortpres.errors import InternalInvariantViolation
 
@@ -479,6 +479,40 @@ class TestFalsify:
         code, out, err = run(capsys, "falsify", "--p", "4")
         assert code == 3
         assert "no falsification target applies" in err
+
+    def test_contrast_above_the_enumeration_bound_is_skipped(self, capsys):
+        # 107 = 11 (mod 12), but SL(2, 107) is too large to close under
+        code, out, err = run(capsys, "falsify", "--p", "107")
+        assert (code, err) == (0, "")
+        for which in verify.FALSIFICATION_TARGETS:
+            assert f"falsify:{which}: falsified=True" in out
+        assert out.endswith("subgroup contrast at p=107: skipped "
+                            "(p = 107 exceeds the enumeration bound 100)\n")
+
+    def test_the_p3_target_reads_j_from_the_presentation(self, capsys,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second unit-generator search")
+
+        monkeypatch.setattr(numth, "group_unit_generator", refuse)
+        code, out, _ = run(capsys, "falsify", "--p", "11")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FALSIFY_DIGESTS[11]
+
+
+@pytest.mark.parametrize("n", [14, 26, 50])
+def test_verify_proves_the_p3_prime_once(capsys, monkeypatch, n):
+    real = numth.is_prime
+    proved = []
+
+    def counting(m):
+        proved.append(m)
+        return real(m)
+
+    monkeypatch.setattr(numth, "is_prime", counting)
+    code, out, _ = run(capsys, "verify", "-n", str(n), "--kind", "alt")
+    assert code == 0 and " case=alt_p3 " in out
+    assert proved.count(n - 3) == 1
 
 
 class TestParams:

@@ -4,24 +4,32 @@ The builders compute the images of a, g and y arithmetically (a shift, a
 multiplication times a 3-cycle power, a reflection).  The oracles below
 rebuild each one the way it is defined, as a list of disjoint cycles
 through Permutation.from_cycles, with g's 3-cycle raised to the full power
-kappa by repeated multiplication.
+kappa by repeated multiplication.  The degree-(p+3) images x and y are
+checked against the action of the matrices t and u on the projective line.
 """
 
 import dataclasses
 
 import pytest
+from helpers import p3_images
 
 from shortpres.builders import (
     _a_image,
     _g_image,
     _mul_image,
+    alt_p3,
     covered_degrees,
     glue_map_image,
     params_for,
     presentation_for,
 )
 from shortpres.errors import DomainMismatch, PointOutOfDomain
+from shortpres.numth import is_prime
 from shortpres.perm import Permutation
+from shortpres.sl2 import gens_tu
+
+# both classes p = 1 and p = 2 (mod 3), so both signs of the corrected t, u
+P3_PRIMES = [p for p in range(5, 200) if p % 3 and is_prime(p)]
 
 
 def oracle_a(p, lo, hi):
@@ -58,11 +66,30 @@ def oracle_y(p, k, kind, lo, hi):
     return Permutation.from_cycles(cycles, lo, hi)
 
 
+def oracle_moebius(m, p):
+    """The right action of a matrix m on the projective line over F_p: the
+    row vector (1, x) goes to (a + x c, b + x d), so x -> (b + x d)/(a + x c),
+    and the infinite point (0, 1) goes to (c, d).  Points are relabelled onto
+    1..p+3 as the builders place them: 0 -> p, infinity -> p+1; p+2 and p+3
+    are fixed."""
+
+    def point(first, second):  # the label of the line through (first, second)
+        if first % p == 0:
+            return p + 1
+        return second * pow(first, -1, p) % p or p
+
+    images = {x or p: point(m.a + x * m.c, m.b + x * m.d) for x in range(p)}
+    images[p + 1] = point(m.c, m.d)
+    return Permutation([images.get(pt, pt) for pt in range(1, p + 4)], 1)
+
+
 def assert_images_match_oracles(pres):
     ps, (lo, hi) = pres.params, pres.domain
     images = pres.images
     if pres.case == "alt_p3":
-        assert images["y"] == oracle_a(ps.p, lo, hi)
+        t, u = gens_tu(ps.p)
+        assert images["x"] == oracle_moebius(t, ps.p)
+        assert images["y"] == oracle_moebius(u, ps.p)
         return
     assert images["a"] == oracle_a(ps.p, lo, hi)
     assert images["g"] == oracle_g(ps, lo, hi)
@@ -76,6 +103,18 @@ def test_every_covered_degree_up_to_2000(kind):
     assert len(degrees) > 1900
     for n in degrees:
         assert_images_match_oracles(presentation_for(n, kind))
+
+
+@pytest.mark.parametrize("p", P3_PRIMES)
+def test_p3_images_are_the_projective_action_of_t_and_u(p):
+    assert_images_match_oracles(alt_p3(p))
+
+
+@pytest.mark.parametrize("p", P3_PRIMES)
+def test_p3_images_match_their_standalone_statement(p):
+    images = alt_p3(p).images
+    for s, image in p3_images(p).items():
+        assert {pt: images[s](pt) for pt in image} == image
 
 
 @pytest.mark.parametrize("n,kind", [

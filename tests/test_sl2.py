@@ -1,4 +1,4 @@
-"""SL(2,p) generators, defining relators, and the projective action.
+"""SL(2,p) generators, defining relators, and the diagonal witness.
 
 The corrected generator pair satisfies both defining relators for every
 prime p > 3 not divisible by 3; the uncorrected pair always fails the
@@ -22,7 +22,6 @@ from shortpres.sl2 import (
     cr_relator_words,
     element_v,
     gens_tu,
-    projective_perm,
     scan_cr_generator_pairs,
     subgroup_order,
 )
@@ -129,26 +128,6 @@ class TestSubgroupOrder:
         assert subgroup_order(11, []) == 1
         with pytest.raises(EnumerationTooLarge):
             subgroup_order(101, [Mat2p(1, 0, 0, 1, 101)])
-
-
-class TestProjectiveAction:
-    def test_translation_cycle_and_involution(self):
-        t, u = gens_tu(11)
-        tb, ub = projective_perm(t, 11), projective_perm(u, 11)
-        assert str(ub) == "(0,1,2,3,4,5,6,7,8,9,10)"
-        assert (tb * tb).is_identity()
-        assert str(tb) == "(0,11)(1,10)(2,5)(3,7)(4,8)(6,9)"
-
-    def test_center_acts_trivially(self):
-        m = Mat2p(-1, 0, 0, -1, 13)
-        assert projective_perm(m, 13).is_identity()
-
-    def test_homomorphism(self):
-        t, u = gens_tu(13)
-        for m, n in [(t, u), (u, t), (t * u, u ** 5), (u ** -1 * t, t)]:
-            assert projective_perm(m * n, 13) == (
-                projective_perm(m, 13) * projective_perm(n, 13)
-            )
 
 
 class TestPairScan:
