@@ -44,10 +44,12 @@ from .errors import (
     UnsupportedDegree,
 )
 from .numth import ParamSet, derive_params, find_glue_prime, validate_params
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation
 from .words import GroupWord, ProductPair, Slp, comm, conj, sym
 
 MATERIALIZE_MAX_DEGREE = 10_000_000
+# images are int32 windows, which address at most MAX_DEGREE = 2^31 - 1 points
+assert MATERIALIZE_MAX_DEGREE <= MAX_DEGREE
 
 
 @dataclass

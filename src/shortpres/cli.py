@@ -289,10 +289,11 @@ def _cmd_stats(args):
 
 def _cmd_falsify(args):
     p = args.p
+    falsification = verify.Falsification(p)
     falsified = []  # one verdict per target that applies at p
     for which in verify.FALSIFICATION_TARGETS:
         try:
-            rep = verify.falsify_original(which, p)
+            rep = falsification.report(which)
         except BadPrimeClass as exc:
             print(f"falsify:{which}: skipped ({exc})")
             continue
@@ -304,7 +305,7 @@ def _cmd_falsify(args):
                   f"value={shape}")
         print(f"  note: {rep.details['note']}")
     try:
-        contrast = verify.subgroup_contrast(p)
+        contrast = falsification.contrast()
     except EnumerationTooLarge as exc:
         print(f"subgroup contrast at p={p}: skipped ({exc})")
     else:

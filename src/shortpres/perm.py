@@ -6,8 +6,13 @@ Products apply the LEFT factor first: x^(s*t) = (x^s)^t, so
 cycles: (x1,...,xk)^g = (x1^g,...,xk^g).
 
 A Permutation stores only a window of its domain: an offset `start` and
-`win`, a read-only numpy int64 array that is itself a bijection of
-[0, len(win)), with win[i] = (b + i)^perm - b for b = lo + start.  Every
+`win`, a read-only numpy int32 array that is itself a bijection of
+[0, len(win)), with win[i] = (b + i)^perm - b for b = lo + start.  A
+window holds offsets below its own length, so int32 holds any of them on
+a domain of up to MAX_DEGREE = 2^31 - 1 points, and a larger domain is
+refused; products, powers, inverses, conjugates and cycle minima stay
+int32 throughout, which halves the bytes of every image, gather and
+scatter.  Every
 point outside [b, b + len(win)) is fixed; the identity has an empty
 window.  A built permutation is trimmed to the 64-point blocks that hold
 the points it moves, and a result's window is the hull of its operands'
@@ -15,8 +20,8 @@ windows, so a permutation that moves only a part of a large domain costs
 nothing outside it.  Operands on the same window (the usual case) need
 no padding: a product is one gather, an inverse one scatter, with no
 shift back and forth, so they stay cheap up to degrees in the millions.
-`images`, the full array of offsets images[i] = (lo + i)^perm - lo, is
-built each time it is read.  Absolute points appear only at the edges:
+`images`, the full int32 array of offsets images[i] = (lo + i)^perm - lo,
+is built each time it is read.  Absolute points appear only at the edges:
 the constructor, __call__, cycles and __str__.
 
 Every gather and scatter of a product, power, inverse or conjugate goes
@@ -26,6 +31,8 @@ of the source and writes its own part of the result (a scatter's indices
 are a bijection, so its chunks write disjoint points), and numpy releases
 the GIL while it gathers or scatters, so the chunks run at once with no
 extra array.  This thread and a thread pool claim the chunks in turn.
+Numpy copies int32 indices to intp before it gathers or scatters, so no
+chunk, split or not, is longer than _PIECE points, and the copy stays small.
 The pool is made on the first split, under a lock, and forgotten in a
 forked child, whose copy has no threads; importing the module starts none.
 The thread count is worked out once per process; a `verify --jobs` worker
@@ -52,6 +59,11 @@ from .errors import (
 
 _CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\)")
 
+# The most points a domain may have: every offset, and so every window
+# entry, fits an int32.
+MAX_DEGREE = 2**31 - 1
+_INT32 = np.dtype(np.int32)
+
 
 # A window starts and stops on a multiple of this many offsets, or at the
 # end of the domain.  Permutations of up to this many points then share
@@ -73,6 +85,12 @@ _SPLIT = 400_000
 # halves (one per thread) verified in 1.13-1.42 s, four chunks per thread
 # in 1.03-1.33 s and eight in 1.10-1.25 s, against 1.62-1.86 s unsplit.
 _CHUNKS_PER_THREAD = 4
+# No chunk is longer than this, split or not: numpy copies a chunk's int32
+# indices to intp before it gathers or scatters, and a copy this size
+# stays in cache and adds no array's worth of memory.  Verify at Sym
+# 9999999 on the same VM: 5.3-6.4 s with these chunks, against 6.5-6.9 s
+# with chunks of 1.25*10^6 points (peak RSS 471 against 484 MiB).
+_PIECE = 1 << 16
 
 
 def _usable_cpus():
@@ -115,15 +133,15 @@ def _executor():
 
 
 def _in_chunks(size, run):
-    """run(s, e) over contiguous chunks that cover [0, size), claimed in
-    turn by this thread and the pool's; returns once every chunk is
-    written.  A thread whose CPU the host holds up for a while then leaves
-    its share to the others instead of holding them up."""
-    count = _threads
-    if count < 2:
-        run(0, size)
-        return
-    chunks = count * _CHUNKS_PER_THREAD
+    """run(s, e) over contiguous chunks of at most _PIECE points that cover
+    [0, size); from _SPLIT points on they are claimed in turn by this thread
+    and the pool's.  Returns once every chunk is written.  A thread whose
+    CPU the host holds up for a while then leaves its share to the others
+    instead of holding them up."""
+    count = _threads if size >= _SPLIT else 1
+    chunks = -(-size // _PIECE)
+    if count > 1:
+        chunks = max(chunks, count * _CHUNKS_PER_THREAD)
     bounds = [size * i // chunks for i in range(chunks + 1)]
     todo = collections.deque(zip(bounds, bounds[1:]))  # popleft is atomic
 
@@ -135,6 +153,9 @@ def _in_chunks(size, run):
                 return
             run(start, stop)
 
+    if count < 2:
+        drain()
+        return
     pool = _executor()
     helpers = [pool.submit(drain) for _ in range(count - 1)]
     try:
@@ -145,11 +166,18 @@ def _in_chunks(size, run):
                 future.result()
 
 
+def _whole(size):
+    """Whether a gather or scatter of this many points is one numpy call."""
+    return size <= _PIECE and size < _SPLIT
+
+
 def _take(src, idx, out=None):
     """src[idx], written into out if given; idx holds valid indices of src
-    (mode="clip" writes straight into out, and clips nothing)."""
-    if idx.size < _SPLIT:
-        return src[idx] if out is None else src.take(idx, out=out, mode="clip")
+    (mode="clip" writes straight into out, and clips nothing).  take copies
+    int32 indices to intp before it gathers; fancy indexing casts them
+    point by point instead, at 1.7 to 2.6 times the cost at 28 to 4096 points."""
+    if _whole(idx.size):
+        return src.take(idx, out=out, mode="clip")
     if out is None:
         out = np.empty_like(idx)
     _in_chunks(idx.size,
@@ -158,20 +186,28 @@ def _take(src, idx, out=None):
 
 
 def _put(arr, idx, vals):
-    """arr[idx[i]] = vals[i] for idx a bijection of arr's indices."""
-    if idx.size < _SPLIT:
-        arr[idx] = vals
+    """arr[idx[i]] = vals[i] for idx a bijection of arr's indices; the
+    indices are cast to intp first, as _take's are."""
+    if _whole(idx.size):
+        arr[idx.astype(np.intp)] = vals
         return arr
 
     def put(s, e):
-        arr[idx[s:e]] = vals[s:e]
+        arr[idx[s:e].astype(np.intp)] = vals[s:e]
 
     _in_chunks(idx.size, put)
     return arr
 
 
 def _arange(n):
-    return np.arange(n, dtype=np.int64)
+    return np.arange(n, dtype=np.int32)
+
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise DomainMismatch(
+            f"a domain of {degree} points is above the limit of {MAX_DEGREE} "
+            "points that int32 offsets address")
 
 
 def _blocks(first, stop, size):
@@ -193,7 +229,7 @@ def _trim(offsets):
 def _embed(win, off, size):
     """A fresh array of `size` offsets, fixed but for win written at off."""
     arr = _arange(size)
-    arr[off:off + win.size] = win + off if off else win
+    np.add(win, off, out=arr[off:off + win.size])
     return arr
 
 
@@ -204,12 +240,14 @@ class Permutation:
 
     def __init__(self, images, lo=1):
         """Wrap the absolute images of the points lo, lo+1, ...; they must
-        be a bijection of [lo, lo + len(images) - 1]."""
+        be a bijection of [lo, lo + len(images) - 1], of at most MAX_DEGREE
+        points."""
         arr = np.asarray(images, dtype=np.int64)
         if arr.ndim != 1:
             raise DomainMismatch("images must be a flat sequence")
         if arr.size == 0:
             raise DomainMismatch("empty image list")
+        _check_degree(arr.size)
         lo = int(lo)
         hi = lo + arr.size - 1
         shifted = arr - lo
@@ -219,10 +257,15 @@ class Permutation:
             or not (np.bincount(shifted, minlength=arr.size) == 1).all()
         ):
             raise DomainMismatch(f"images are not a bijection of [{lo}, {hi}]")
-        start, win = _trim(shifted)
+        start, win = _trim(shifted.astype(np.int32))
         self._set(win, start, lo, arr.size)
 
     def _set(self, win, start, lo, degree):
+        # every window passes here: an int64 one would cost twice the
+        # memory without a sign
+        if win.dtype != _INT32:
+            raise InternalInvariantViolation(
+                f"a window of dtype {win.dtype}, not int32")
         win.flags.writeable = False
         self.win = win
         self.start = start
@@ -252,6 +295,7 @@ class Permutation:
     def identity(cls, lo, hi):
         if hi < lo:
             raise DomainMismatch(f"empty domain [{lo}, {hi}]")
+        _check_degree(hi - lo + 1)
         ident = object.__new__(cls)
         ident._set(_arange(0), 0, lo, hi - lo + 1)
         return ident
@@ -262,7 +306,8 @@ class Permutation:
 
         Each cycle is an iterable of points.  A point used twice (within
         or across cycles) raises OverlappingCycles; a point outside
-        [lo, hi] raises PointOutOfDomain.
+        [lo, hi] raises PointOutOfDomain, and a domain of more than
+        MAX_DEGREE points DomainMismatch.
         """
         moving = []
         seen = set()
@@ -423,15 +468,18 @@ class Permutation:
         """Offset within the window of the least point on each window
         offset's cycle, by pointer doubling: after k rounds least[i] is the
         least of the 2^k offsets from i on, and a round that changes nothing
-        has covered every cycle."""
-        least = _arange(self.win.size)
-        step = self.win
+        has covered every cycle.  The rounds write two buffers for the
+        minima and two for the jumps in turn, as __pow__ does."""
+        least, lower = _arange(self.win.size), np.empty_like(self.win)
+        step, jumped = self.win, np.empty_like(self.win)
         while True:
-            lower = np.minimum(least, least[step])
+            np.minimum(least, _take(least, step, lower), out=lower)
             if np.array_equal(lower, least):
                 return least
-            least = lower
-            step = step[step]
+            least, lower = lower, least
+            _take(step, step, jumped)
+            # the first jump leaves the read-only window for a second buffer
+            step, jumped = jumped, (np.empty_like(step) if step is self.win else step)
 
     def cycle_minima(self):
         """Offset of the least point on each offset's cycle, over the whole

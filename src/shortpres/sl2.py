@@ -88,6 +88,11 @@ def gens_tu(p, corrected=True):
     (uncorrected) pair t = [[0,1],[-1,0]], u = [[1,1],[0,1]] fails the first
     defining relator, since t^2 = -(tu)^3 for it."""
     require_prime_class("Alt", "P3", p)
+    return _gens_tu(p, corrected)
+
+
+def _gens_tu(p, corrected=True):
+    """gens_tu for a p already checked to be of the degree-(p+3) class."""
     if not corrected:
         return Mat2p(0, 1, -1, 0, p), Mat2p(1, 1, 0, 1, p)
     sign = -1 if p % 3 == 1 else 1  # (-1)^k, k = p mod 3 in {1, 2}
@@ -123,15 +128,18 @@ def element_v(p, j=None, jbar=None, corrected=True):
 
     For the corrected generators and j*k even this equals diag(jbar, j);
     j*k odd raises ParityViolation (callers pass j-p instead).  With
-    corrected=False the original pair is used, giving -v when k is even."""
-    require_prime_class("Alt", "P3", p)
+    corrected=False the original pair is used, giving -v when k is even.
+
+    Without j and jbar, derive_params checks that p is of the degree-(p+3)
+    class and picks them; given, they are the parameters of a p already
+    checked, and p is not proven prime again."""
     if j is None or jbar is None:
         ps = derive_params("Alt", "P3", p=p)
         j, jbar = ps.j, ps.jbar
     k = p % 3
     if corrected and (j * k) % 2 == 1:
         raise ParityViolation(f"j*k = {j * k} is odd; replace j by j-p")
-    t, u = gens_tu(p, corrected=corrected)
+    t, u = _gens_tu(p, corrected)
     v = words.evaluate(h_word(j, jbar, (-1) ** k), {"x": t, "y": u})
     if corrected:
         expect = Mat2p(jbar, 0, 0, j, p)

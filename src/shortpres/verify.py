@@ -15,11 +15,11 @@ Schreier's lemma pins the order exactly; or the product of the orbit
 lengths, a lower bound on the order, has reached the parity bound n! (or
 n!/2 when every generator is even), an upper bound on it.
 
-falsify_original re-evaluates the uncorrected variants of the constructions
+Falsification re-evaluates the uncorrected variants of the constructions
 (wrong special-linear generator signs, wrong conjugating order in the
-degree-(p+3) relator, wrong bracketing of the transposition word) and
-records concrete non-identity witnesses.  The corrected side of each target
-is built from the words and images the builders emit.
+degree-(p+3) relator, wrong bracketing of the transposition word) at one
+prime and records concrete non-identity witnesses.  The corrected side of
+each target is built from the words and images the builders emit.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import builders, numth, sl2
 from .errors import (
+    BadPrimeClass,
     DegreeTooLarge,
     DomainMismatch,
     EnumerationTooLarge,
@@ -280,7 +282,7 @@ def _transitive(minima):
     (a scatter-min onto the cycle minima), then jumps labels to their own
     labels; labels are points of the same orbit, never above their point,
     so a round that changes nothing leaves each orbit its least point."""
-    comp = np.arange(minima[0].size)
+    comp = np.arange(minima[0].size, dtype=minima[0].dtype)
     changed = True
     while changed:
         changed = False
@@ -412,31 +414,67 @@ FALSIFICATION_TARGETS = (
     "SL2Generators", "P3Relator", "P3RelatorHOnly", "TranspositionWord")
 
 
+class Falsification:
+    """The uncorrected constructions at one p.  The matrix target, the two
+    P3 targets and the subgroup contrast share one degree-(p+3)
+    presentation, whose parameters prove p prime of its class, so p is
+    proven prime at most once however many of them run."""
+
+    def __init__(self, p):
+        self.p = p
+
+    @cached_property
+    def _alt_p3(self):
+        """builders.alt_p3(p), or the BadPrimeClass that refuses p."""
+        try:
+            return builders.alt_p3(self.p)
+        except BadPrimeClass as exc:
+            return exc
+
+    def _p3(self):
+        if isinstance(self._alt_p3, BadPrimeClass):
+            raise self._alt_p3
+        return self._alt_p3
+
+    def report(self, which):
+        """Evaluate one uncorrected construction and report the witness;
+        BadPrimeClass where it does not apply at p."""
+        if which == "SL2Generators":
+            self._p3()  # raises where p is not of the class
+            return _falsify_sl2(self.p)
+        if which in ("P3Relator", "P3RelatorHOnly"):
+            return _falsify_p3(which, self._p3())
+        if which == "TranspositionWord":
+            # the word is only used when negation is an odd permutation of
+            # the field points, i.e. for primes p = 3 (mod 4); those are of
+            # the P3 class, so a p proven there needs only the congruence
+            if isinstance(self._alt_p3, BadPrimeClass) or self.p % 4 != 3:
+                numth.require_affine_prime(self.p, True, "the transposition word")
+            return _falsify_transposition(self.p)
+        raise InternalInvariantViolation(f"unknown falsification target {which!r}")
+
+    def contrast(self):
+        """[|<u, v>|, |<u, v'>|] at a prime p = 11 (mod 12), v and v' the
+        diagonal witnesses of the corrected and the uncorrected generators;
+        None elsewhere."""
+        p = self.p
+        if p % 12 != 11:
+            return None
+        ps = self._p3().params
+        u = sl2._gens_tu(p)[1]
+        return [sl2.subgroup_order(p, [u, sl2.element_v(p, ps.j, ps.jbar, corrected=c)])
+                for c in (True, False)]
+
+
 def falsify_original(which, p=11):
-    """Evaluate an uncorrected construction and report the witness."""
-    if which == "SL2Generators":
-        return _falsify_sl2(p)
-    if which in ("P3Relator", "P3RelatorHOnly"):
-        return _falsify_p3(which, p)
-    if which == "TranspositionWord":
-        return _falsify_transposition(p)
-    raise InternalInvariantViolation(f"unknown falsification target {which!r}")
-
-
-def subgroup_contrast(p):
-    """[|<u, v>|, |<u, v'>|] at a prime p = 11 (mod 12), v and v' the diagonal
-    witnesses of the corrected and the uncorrected generators; None elsewhere."""
-    if p % 12 != 11:
-        return None
-    u = sl2.gens_tu(p)[1]
-    return [sl2.subgroup_order(p, [u, sl2.element_v(p, corrected=c)])
-            for c in (True, False)]
+    """Evaluate an uncorrected construction at p and report the witness."""
+    return Falsification(p).report(which)
 
 
 def _falsify_sl2(p):
-    t_orig, u_orig = sl2.gens_tu(p, corrected=False)
+    t_orig, u_orig = sl2._gens_tu(p, corrected=False)
     ok_orig, vals_orig = sl2.check_cr_relators(t_orig, u_orig, p)
-    t_corr, u_corr = sl2.gens_tu(p)
+    t_corr, u_corr = sl2._gens_tu(p)
     ok_corr, _ = sl2.check_cr_relators(t_corr, u_corr, p)
     entries = [{"index": i, "identity": v.is_identity(), "value": str(v)}
                for i, v in enumerate(vals_orig)]
@@ -452,8 +490,8 @@ def _falsify_sl2(p):
                               entries, details=details)
 
 
-def _falsify_p3(which, p):
-    pres = builders.alt_p3(p)
+def _falsify_p3(which, pres):
+    p = pres.params.p
     env = pres.images
     x, y, z = sym("x"), sym("y"), sym("z")
     j0 = pres.params.j % p  # j is the smallest generator or that minus p
@@ -486,9 +524,6 @@ def _falsify_p3(which, p):
 
 
 def _falsify_transposition(p):
-    # the word is only used when negation is an odd permutation of the field
-    # points, i.e. for p = 3 (mod 4)
-    numth.require_affine_prime(p, True, "the transposition word")
     # a, b and z act on 1..p+2 as in the degree-(p+2) Sym presentation
     images = builders._agl(p, "SymAGL", True, True).images
     a, z, b, x = sym("a"), sym("z"), sym("b"), sym("x")

@@ -515,6 +515,23 @@ def test_verify_proves_the_p3_prime_once(capsys, monkeypatch, n):
     assert proved.count(n - 3) == 1
 
 
+@pytest.mark.parametrize("p", [11, 13, 19, 23])
+def test_falsify_proves_the_prime_once(capsys, monkeypatch, p):
+    # 11 and 23 run every target and the subgroup contrast, 13 skips the
+    # transposition word, 19 the contrast
+    real = numth.is_prime
+    proved = []
+
+    def counting(m):
+        proved.append(m)
+        return real(m)
+
+    monkeypatch.setattr(numth, "is_prime", counting)
+    code, out, _ = run(capsys, "falsify", "--p", str(p))
+    assert code == 0 and out.count(": falsified=True") == (3 if p == 13 else 4)
+    assert proved.count(p) == 1
+
+
 class TestParams:
     def test_glued_parameters(self, capsys):
         code, out, _ = run(capsys, "params", "-n", "17", "--kind", "alt")

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from shortpres import perm
 from shortpres.errors import (
     DomainMismatch,
+    InternalInvariantViolation,
     OverlappingCycles,
     PointOutOfDomain,
 )
@@ -64,6 +66,23 @@ class TestConstruction:
     def test_call_out_of_domain(self):
         with pytest.raises(PointOutOfDomain):
             P("(1,2)")(7)
+
+    def test_domains_that_int32_cannot_address_are_refused(self):
+        # an identity's window is empty, so neither call allocates
+        top = Permutation.identity(0, 2**31 - 2)
+        assert top.degree == perm.MAX_DEGREE == 2**31 - 1 and top.is_identity()
+        for build in (lambda: Permutation.identity(1, 2**31),
+                      lambda: Permutation.from_cycles([(1, 2)], 1, 2**31)):
+            with pytest.raises(DomainMismatch, match="limit of 2147483647 points"):
+                build()
+        with mock.patch.object(perm, "MAX_DEGREE", 5):
+            assert Permutation(np.arange(1, 6)).degree == 5
+            with pytest.raises(DomainMismatch, match="limit of 5 points"):
+                Permutation(np.arange(1, 7))
+
+    def test_a_window_that_is_not_int32_is_refused(self):
+        with pytest.raises(InternalInvariantViolation, match="dtype int64"):
+            Permutation.identity(1, 6)._like(np.array([1, 0], np.int64), 0)
 
 
 class TestProducts:
@@ -137,7 +156,7 @@ class TestStructure:
             import numpy as np
             from shortpres.errors import InternalInvariantViolation
             from shortpres.perm import Permutation
-            g = Permutation.identity(1, 6)._like(np.array([1, 2, 1]), 2)
+            g = Permutation.identity(1, 6)._like(np.array([1, 2, 1], np.int32), 2)
             for show in (Permutation.cycles, str, repr):
                 try:
                     show(g)
@@ -198,6 +217,23 @@ def test_cycle_labelling_agrees_with_the_walk(lo):
         parity, least = _walk_parity_and_minima(g)
         assert g.epsilon() == parity
         assert np.array_equal(g.cycle_minima(), least)
+
+
+def test_cycle_minima_reuse_their_buffers():
+    """Pointer doubling gathers into two buffers for the minima and two for
+    the jumps, all int32, beside the read-only window: numpy reports its
+    buffers to tracemalloc, and the peak stays within five such arrays."""
+    n = 200_000
+    g = Permutation(np.random.default_rng(7).permutation(n) + 1)
+    tracemalloc.start()
+    try:
+        least = g.cycle_minima()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert least.dtype == np.int32
+    assert np.array_equal(least, _walk_parity_and_minima(g)[1])
+    assert peak <= 5 * 4 * n
 
 
 class TestWindows:
@@ -286,7 +322,8 @@ def _windowed_pair(draw):
 def test_windows_agree_with_the_dense_reference(pair, e):
     """Each operation on stored windows matches plain full-array numpy,
     also on results stored on the hull of two different windows (degrees
-    above 64 points, where windows of 64-point blocks can differ)."""
+    above 64 points, where windows of 64-point blocks can differ), and
+    every window, image array and cycle-minima array is int32."""
     lo, x, y = pair
     f, g = Permutation(x + lo, lo), Permutation(y + lo, lo)
     conj = np.empty_like(x)
@@ -297,6 +334,7 @@ def test_windows_agree_with_the_dense_reference(pair, e):
              (f * g * g.inverse(), x)]
     ident = np.arange(x.size)
     for perm, img in cases:
+        assert perm.win.dtype == perm.images.dtype == np.int32
         assert perm.images.tolist() == img.tolist()
         assert not perm.images.flags.writeable
         assert perm == Permutation(img + lo, lo)
@@ -308,7 +346,8 @@ def test_windows_agree_with_the_dense_reference(pair, e):
         least = np.arange(x.size)
         for c in cycles:
             least[[pt - lo for pt in c]] = min(c) - lo
-        assert perm.cycle_minima().tolist() == least.tolist()
+        minima = perm.cycle_minima()
+        assert minima.dtype == np.int32 and minima.tolist() == least.tolist()
         assert [perm(pt) for pt in range(lo, lo + x.size)] == (img + lo).tolist()
     assert (f == g) == (x.tolist() == y.tolist())
 

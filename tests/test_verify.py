@@ -367,11 +367,11 @@ class TestRelatorStream:
         finally:
             tracemalloc.stop()
         assert report.all_relators_identity
-        assert peak <= 10 * 8 * n  # ten int64 arrays of n points
+        assert peak <= 10 * 4 * n  # ten int32 arrays of n points
 
 
 @pytest.mark.slow
-def test_verify_at_the_materialization_cap_stays_under_1_gib():
+def test_verify_at_the_materialization_cap_stays_under_600_mib():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -381,7 +381,7 @@ def test_verify_at_the_materialization_cap_stays_under_1_gib():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(" OK\n")
     peak_bytes = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-    assert peak_bytes < 2**30
+    assert peak_bytes < 600 * 2**20
 
 
 class TestVerifyPresentation:
