@@ -24,6 +24,10 @@ shift back and forth, so they stay cheap up to degrees in the millions.
 is built each time it is read.  Absolute points appear only at the edges:
 the constructor, __call__, cycles and __str__.
 
+Every numeric question about cycles (cycle_type, order, the certificate
+of `verify`) reads `cycle_minima`, which are window-relative and leave out
+the fixed points outside the window.  The walk `cycles` serves text only.
+
 Every gather and scatter of a product, power, inverse or conjugate goes
 through `_take` or `_put`.  From _SPLIT points on, these cut the index
 array into a few contiguous chunks per usable CPU: each chunk reads all
@@ -224,6 +228,13 @@ def _trim(offsets):
     first, stop = _blocks(int(moved.argmax()),
                           offsets.size - int(moved[::-1].argmax()), offsets.size)
     return first, offsets[first:stop] - first
+
+
+def cycle_lengths(least):
+    """Lengths of the nontrivial cycles, in the order of their least points,
+    given the cycle minima of a window (Permutation.cycle_minima)."""
+    counts = np.bincount(least)
+    return counts[counts > 1]
 
 
 def _embed(win, off, size):
@@ -432,10 +443,10 @@ class Permutation:
         return np.flatnonzero(self.win != _arange(self.win.size))
 
     def cycles(self):
-        """Canonical cycle decomposition: fixed points dropped, each cycle
-        starting at its least point, cycles sorted by least point.  A walk
-        that comes back to a point other than its start raises
-        InternalInvariantViolation: the window is not a bijection."""
+        """Canonical cycle decomposition, for text: fixed points dropped,
+        each cycle starting at its least point, cycles sorted by least
+        point.  A walk that comes back to a point other than its start
+        raises InternalInvariantViolation: the window is not a bijection."""
         img = self.win
         base = self.lo + self.start
         seen = set()
@@ -459,17 +470,19 @@ class Permutation:
 
     def cycle_type(self):
         """Sorted (descending) lengths of the nontrivial cycles; () for identity."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(sorted(cycle_lengths(self.cycle_minima()).tolist(),
+                            reverse=True))
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return math.lcm(*cycle_lengths(self.cycle_minima()).tolist())
 
-    def _window_minima(self):
+    def cycle_minima(self):
         """Offset within the window of the least point on each window
-        offset's cycle, by pointer doubling: after k rounds least[i] is the
-        least of the 2^k offsets from i on, and a round that changes nothing
-        has covered every cycle.  The rounds write two buffers for the
-        minima and two for the jumps in turn, as __pow__ does."""
+        offset's cycle; the points outside the window are fixed and left
+        out.  By pointer doubling: after k rounds least[i] is the least of
+        the 2^k offsets from i on, and a round that changes nothing has
+        covered every cycle.  The rounds write two buffers for the minima
+        and two for the jumps in turn, as __pow__ does."""
         least, lower = _arange(self.win.size), np.empty_like(self.win)
         step, jumped = self.win, np.empty_like(self.win)
         while True:
@@ -480,17 +493,6 @@ class Permutation:
             _take(step, step, jumped)
             # the first jump leaves the read-only window for a second buffer
             step, jumped = jumped, (np.empty_like(step) if step is self.win else step)
-
-    def cycle_minima(self):
-        """Offset of the least point on each offset's cycle, over the whole
-        domain; a point outside the window is its own minimum."""
-        return _embed(self._window_minima(), self.start, self.degree)
-
-    def epsilon(self):
-        """Parity: 0 for even, 1 for odd (the number of points minus the
-        number of cycles, fixed points included, within the window)."""
-        least = self._window_minima()
-        return (least.size - np.count_nonzero(least == _arange(least.size))) % 2
 
     def __str__(self):
         cyc = self.cycles()

@@ -5,6 +5,7 @@ generator images and reports cycle types.  certify_order returns the exact
 group order as n!/index, n the number of points and index the number the
 proof decides, so n! is formed only when int() asks for it.  It is proved
 in one of two ways.  The Jordan certificate, O(n) in numpy at any degree,
+reads each generator's window cycle minima (Permutation.cycle_minima) and
 shows that the group is transitive and holds a prime cycle that makes it
 primitive and, by Jordan's theorems, contains A_n; the parities of the
 generators then decide between n!/2 and n!.  Where no such witness is
@@ -40,7 +41,7 @@ from .errors import (
     EnumerationTooLarge,
     InternalInvariantViolation,
 )
-from .perm import Permutation
+from .perm import Permutation, cycle_lengths
 from .words import (
     ProductPair,
     Slp,
@@ -128,8 +129,8 @@ def printable_order(order):
 
 def _cycle_type_json(value):
     if isinstance(value, ProductPair):
-        return [list(value.left.cycle_type()), list(value.right.cycle_type())]
-    return list(value.cycle_type())
+        return [_cycle_type_json(value.left), _cycle_type_json(value.right)]
+    return [] if value.is_identity() else list(value.cycle_type())
 
 
 def check_relators(pres):
@@ -270,31 +271,28 @@ def _chain_order(gens, bound):
 # Groups, Thm 13.9), or holding a 3-cycle (Thm 13.3), contains A_n.
 
 
-def _cycle_lengths(least):
-    """Lengths of the nontrivial cycles, given the cycle minima."""
-    counts = np.bincount(least)
-    return counts[counts > 1]
-
-
-def _transitive(minima):
-    """Whether the permutations with these cycle minima act transitively.
-    Each round gives every cycle of every generator the least label on it
-    (a scatter-min onto the cycle minima), then jumps labels to their own
+def _transitive(n, windows):
+    """Whether permutations of n points act transitively, given each one's
+    window as (start, window-relative cycle minima).  Each round gives every
+    cycle of every generator the least label on it (a scatter-min onto the
+    cycle minima, within the window), then jumps labels to their own
     labels; labels are points of the same orbit, never above their point,
     so a round that changes nothing leaves each orbit its least point."""
-    comp = np.arange(minima[0].size, dtype=minima[0].dtype)
+    comp = np.arange(n, dtype=np.int32)
     changed = True
     while changed:
         changed = False
-        for least in minima:
-            low = comp.copy()
-            np.minimum.at(low, least, comp)
-            new = np.minimum(comp, low[least])
-            jumped = new[new]
-            while not np.array_equal(jumped, new):
-                new, jumped = jumped, jumped[jumped]
-            if not np.array_equal(new, comp):
-                comp, changed = new, True
+        for start, least in windows:
+            part = comp[start:start + least.size]
+            low = part.copy()
+            np.minimum.at(low, least, part)
+            new = np.minimum(part, low[least])
+            if not np.array_equal(new, part):
+                part[:] = new
+                jumped = comp[comp]
+                while not np.array_equal(jumped, comp):
+                    comp, jumped = jumped, jumped[jumped]
+                changed = True
     return not comp.any()
 
 
@@ -306,20 +304,19 @@ def _three_cycle(gens, lengths):
         if lens[lens % 3 == 0].tolist() != [3]:
             continue
         power = g ** math.lcm(*lens[lens % 3 != 0].tolist())
-        if _cycle_lengths(power.cycle_minima()).tolist() == [3]:
+        if power.cycle_type() == (3,):
             return True
     return False
 
 
-def _jordan(gens, minima, lengths):
+def _jordan(n, gens, windows, lengths):
     """The certificate that <gens> contains A_n, or None: a generator that is
     one q-cycle, q prime and 2q > n, in a transitive group, with q <= n - 3
     or beside a 3-cycle."""
-    n = minima[0].size
     primes = [int(lens[0]) for lens in lengths
               if lens.size == 1 and 2 * lens[0] > n
               and numth.is_prime(int(lens[0]))]
-    if not primes or not _transitive(minima):
+    if not primes or not _transitive(n, windows):
         return None
     small = [q for q in primes if q <= n - 3]
     if small:
@@ -361,10 +358,10 @@ def certify_order(gens):
         if (g.lo, g.hi) != (lo, hi):
             raise DomainMismatch("generators act on different point ranges")
     n = hi - lo + 1
-    minima = [g.cycle_minima() for g in gens]
-    lengths = [_cycle_lengths(least) for least in minima]
+    windows = [(g.start, g.cycle_minima()) for g in gens]
+    lengths = [cycle_lengths(least) for _, least in windows]
     index = 1 if any((lens.sum() - lens.size) % 2 for lens in lengths) else 2
-    certificate = _jordan(gens, minima, lengths)
+    certificate = _jordan(n, gens, windows, lengths)
     if certificate is None:
         if n > _MAX_POINTS:
             raise EnumerationTooLarge(

@@ -29,7 +29,7 @@ from shortpres.builders import (
     covered_degrees,
     presentation_for,
 )
-from shortpres.perm import Permutation
+from shortpres.perm import Permutation, cycle_lengths
 from shortpres.verify import _chain_order, certify_order
 from shortpres.words import evaluate, evaluate_slp, sym
 
@@ -175,7 +175,8 @@ def chain_order(gens):
     gives it, called directly so that no Jordan certificate answers first."""
     gens = [g for g in gens if not g.is_identity()]
     bound = math.factorial(gens[0].degree)
-    if not any(g.epsilon() for g in gens):
+    lengths = [cycle_lengths(g.cycle_minima()) for g in gens]
+    if not any((lens.sum() - lens.size) % 2 for lens in lengths):
         bound //= 2
     return _chain_order([tuple(g.images.tolist()) for g in gens], bound)
 

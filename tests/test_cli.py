@@ -726,8 +726,11 @@ class TestOutput:
 
     @pytest.mark.parametrize("command", ["emit", "verify", "stats"])
     def test_closed_stdout_stops_quietly(self, command):
+        # every degree of 49..4000 is covered, so no refusal reaches stderr
+        # before the pipe closes, however late the close lands
+        assert list(builders.covered_degrees(49, 4000, "Alt")) == list(range(49, 4001))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "shortpres.cli", command, "-n", "13..4000",
+            [sys.executable, "-m", "shortpres.cli", command, "-n", "49..4000",
              "--kind", "alt"], env=checkout_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         assert proc.stdout.readline()

@@ -4,6 +4,7 @@ Products apply the left factor first throughout, so (1,2)(2,3) = (1,3,2).
 """
 
 import contextlib
+import math
 import multiprocessing
 import os
 import subprocess
@@ -135,10 +136,13 @@ class TestStructure:
         assert Permutation.identity(1, 3).order() == 1
 
     def test_sign(self):
-        assert P("(1,2)").epsilon() == 1
-        assert P("(1,2,3)").epsilon() == 0
-        assert P("(1,2)(3,4)").epsilon() == 0
-        assert P("(1,2,3,4)").epsilon() == 1
+        def parity(text):
+            return sum(length - 1 for length in P(text).cycle_type()) % 2
+
+        assert parity("(1,2)") == 1
+        assert parity("(1,2,3)") == 0
+        assert parity("(1,2)(3,4)") == 0
+        assert parity("(1,2,3,4)") == 1
 
     def test_parse_round_trip(self):
         g = P("(1,3,5)(2,4)")
@@ -194,13 +198,30 @@ def test_power_matches_repeated_product(im, e):
     assert g ** e == acc
 
 
-def _walk_parity_and_minima(g):
-    """Parity and cycle minima (as offsets) from the cycles() walk."""
-    parity = sum(len(c) - 1 for c in g.cycles()) % 2
-    least = np.arange(g.degree)
-    for c in g.cycles():
-        least[[x - g.lo for x in c]] = min(c) - g.lo
-    return parity, least
+def _dense_walk(img):
+    """Cycle type, order and cycle minima over the whole domain of the
+    offsets img, by a plain walk of the full array."""
+    cycles = _dense_cycles(img, 0)
+    least = np.arange(img.size)
+    for c in cycles:
+        least[list(c)] = c[0]  # a walk starts at its cycle's least point
+    lengths = sorted((len(c) for c in cycles), reverse=True)
+    return tuple(lengths), math.lcm(*lengths), least
+
+
+def _assert_cycle_kernel(g, img):
+    """g's cycle type, order and window-relative cycle minima agree with
+    the dense walk of its offsets img, and every point outside g's window
+    is its own minimum."""
+    cycle_type, order, least = _dense_walk(img)
+    assert g.cycle_type() == cycle_type
+    assert g.order() == order
+    s, w = g.start, g.win.size
+    minima = g.cycle_minima()
+    assert minima.dtype == np.int32
+    assert minima.tolist() == (least[s:s + w] - s).tolist()
+    outside = np.r_[0:s, s + w:img.size]
+    assert (least[outside] == outside).all()
 
 
 @pytest.mark.parametrize("lo", [1, 0, -7, 1000])
@@ -214,9 +235,7 @@ def test_cycle_labelling_agrees_with_the_walk(lo):
         for _ in range(6):
             perms.append(Permutation(rng.permutation(n) + lo, lo))
     for g in perms:
-        parity, least = _walk_parity_and_minima(g)
-        assert g.epsilon() == parity
-        assert np.array_equal(g.cycle_minima(), least)
+        _assert_cycle_kernel(g, g.images)
 
 
 def test_cycle_minima_reuse_their_buffers():
@@ -232,7 +251,7 @@ def test_cycle_minima_reuse_their_buffers():
     finally:
         tracemalloc.stop()
     assert least.dtype == np.int32
-    assert np.array_equal(least, _walk_parity_and_minima(g)[1])
+    assert np.array_equal(least, _dense_walk(g.images)[2])
     assert peak <= 5 * 4 * n
 
 
@@ -340,14 +359,8 @@ def test_windows_agree_with_the_dense_reference(pair, e):
         assert perm == Permutation(img + lo, lo)
         assert hash(perm) == hash(Permutation(img + lo, lo))
         assert perm.is_identity() == bool((img == ident).all())
-        cycles = _dense_cycles(img, lo)
-        assert perm.cycles() == cycles
-        assert perm.epsilon() == sum(len(c) - 1 for c in cycles) % 2
-        least = np.arange(x.size)
-        for c in cycles:
-            least[[pt - lo for pt in c]] = min(c) - lo
-        minima = perm.cycle_minima()
-        assert minima.dtype == np.int32 and minima.tolist() == least.tolist()
+        assert perm.cycles() == _dense_cycles(img, lo)
+        _assert_cycle_kernel(perm, img)
         assert [perm(pt) for pt in range(lo, lo + x.size)] == (img + lo).tolist()
     assert (f == g) == (x.tolist() == y.tolist())
 

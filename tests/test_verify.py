@@ -7,7 +7,6 @@ hand-counted subgroup orders), never values read back from the function.
 import math
 import os
 import pickle
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -47,7 +46,7 @@ from shortpres.verify import (
     falsify_original,
     verify_presentation,
 )
-from shortpres.words import evaluate_slp
+from shortpres.words import evaluate_slp, relator_values
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -267,6 +266,23 @@ class TestCertifyOrder:
         bad, compared = certificate_disagreements(41, 64)
         assert compared == 40 and not bad
 
+    def test_jordan_certificate_stays_within_nine_arrays(self):
+        """numpy reports its array buffers to tracemalloc, so the traced
+        peak counts the full-size arrays the certificate keeps alive at
+        once beyond the generator images: their window minima, the orbit
+        labels and the label jumps."""
+        n = 200001
+        pres = presentation_for(n, "Sym")
+        gens = [pres.images[t] for t in pres.slp.generators]
+        tracemalloc.start()
+        try:
+            order = certify_order(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == CertifiedOrder(n, 1)
+        assert peak <= 9 * 4 * n  # nine int32 arrays of n points
+
     def test_intransitive_group_above_the_chain_limit_is_refused(self):
         # a 67-cycle and a 3-cycle that leave points 68..70 apart
         gens = [P(_cycle(1, 67), 1, 70), P("(1,2,3)", 1, 70),
@@ -370,18 +386,57 @@ class TestRelatorStream:
         assert peak <= 10 * 4 * n  # ten int32 arrays of n points
 
 
+def test_no_numeric_path_walks_cycles(monkeypatch):
+    """Cycle types, orders and the order certificate read window cycle
+    minima: with the Python cycle walk made to raise, a presentation with
+    one wrong image reports the cycle types and orders the walk found."""
+    pres = glued(100001, "Sym")
+    y = pres.images["y"]
+    pres.images = dict(pres.images,
+                       y=y * Permutation.from_cycles([(1, 2)], y.lo, y.hi))
+    values = [val for _, val in sorted(relator_values(pres.slp, pres.images),
+                                       key=lambda entry: entry[0])]
+    walked = [sorted((len(c) for c in val.cycles()), reverse=True)
+              for val in values]
+    orders = [math.lcm(*lengths) for lengths in walked]
+    report = verify_presentation(pres, depth="order").to_json()
+    assert any(walked) and report["order_certified"]
+
+    def refuse(self):
+        raise AssertionError("a numeric path walked the cycles")
+
+    monkeypatch.setattr(Permutation, "cycles", refuse)
+    assert [list(val.cycle_type()) for val in values] == walked
+    assert [val.order() for val in values] == orders
+    assert [entry["cycle_type"] for entry in check_relators(pres).relators] == walked
+    again = verify_presentation(pres, depth="order").to_json()
+    assert dict(again, millis=report["millis"]) == report
+
+
 @pytest.mark.slow
 def test_verify_at_the_materialization_cap_stays_under_600_mib():
+    """Both depths at Sym 9999999, each in a fresh process, stay under
+    600 MiB, and the order certificate adds at most 16 MiB to the peak of
+    the relator check."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "shortpres.cli", "verify", "-n", "9999999",
-         "--kind", "sym"],
-        env=env, capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith(" OK\n")
-    peak_bytes = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-    assert peak_bytes < 600 * 2**20
+    peaks = {}
+    for depth in ("relators", "order"):
+        with subprocess.Popen(
+                [sys.executable, "-m", "shortpres.cli", "verify", "-n",
+                 "9999999", "--kind", "sym", "--depth", depth],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            out, err = proc.stdout.read(), proc.stderr.read()
+            # this child's own peak: RUSAGE_CHILDREN would report the
+            # largest of every child this process has waited for
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, err
+        assert out.endswith(" OK\n")
+        peaks[depth] = usage.ru_maxrss * 1024
+        assert peaks[depth] < 600 * 2**20
+    assert peaks["order"] <= peaks["relators"] + 16 * 2**20
 
 
 class TestVerifyPresentation:
