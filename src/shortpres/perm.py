@@ -19,7 +19,12 @@ the points it moves, and a result's window is the hull of its operands'
 windows, so a permutation that moves only a part of a large domain costs
 nothing outside it.  Operands on the same window (the usual case) need
 no padding: a product is one gather, an inverse one scatter, with no
-shift back and forth, so they stay cheap up to degrees in the millions.
+shift back and forth, so they stay cheap up to degrees in the millions;
+a product whose right factor's window holds the left's pads nothing
+either.  Powers run one kernel, `_power`: square-and-multiply from the
+top binary digit down, started from the base or, through `power_from`,
+from a power of it already made, x^f, whose window the first squaring
+reads in place; x^e then costs only the digits of e after those of f.
 `images`, the full int32 array of offsets images[i] = (lo + i)^perm - lo,
 is built each time it is read.  Absolute points appear only at the edges:
 the constructor, __call__, cycles and __str__.
@@ -32,9 +37,11 @@ Every gather and scatter of a product, power, inverse or conjugate goes
 through `_take` or `_put`.  From _SPLIT points on, these cut the index
 array into a few contiguous chunks per usable CPU: each chunk reads all
 of the source and writes its own part of the result (a scatter's indices
-are a bijection, so its chunks write disjoint points), and numpy releases
-the GIL while it gathers or scatters, so the chunks run at once with no
-extra array.  This thread and a thread pool claim the chunks in turn.
+are a bijection, so its chunks write disjoint points, and each chunk
+makes the values it scatters, so no full array of them is held), and
+numpy releases the GIL while it gathers or scatters, so the chunks run
+at once with no extra array.  This thread and a thread pool claim the
+chunks in turn.
 Numpy copies int32 indices to intp before it gathers or scatters, so no
 chunk, split or not, is longer than _PIECE points, and the copy stays small.
 The pool is made on the first split, under a lock, and forgotten in a
@@ -190,14 +197,16 @@ def _take(src, idx, out=None):
 
 
 def _put(arr, idx, vals):
-    """arr[idx[i]] = vals[i] for idx a bijection of arr's indices; the
-    indices are cast to intp first, as _take's are."""
+    """arr[idx[i]] = v[i] for idx a bijection of arr's indices, where
+    v[s:e] = vals(s, e): each chunk's values are made as it is written, so
+    no array of all of them is held.  The indices are cast to intp first,
+    as _take's are."""
     if _whole(idx.size):
-        arr[idx.astype(np.intp)] = vals
+        arr[idx.astype(np.intp)] = vals(0, idx.size)
         return arr
 
     def put(s, e):
-        arr[idx[s:e].astype(np.intp)] = vals[s:e]
+        arr[idx[s:e].astype(np.intp)] = vals(s, e)
 
     _in_chunks(idx.size, put)
     return arr
@@ -235,6 +244,23 @@ def cycle_lengths(least):
     given the cycle minima of a window (Permutation.cycle_minima)."""
     counts = np.bincount(least)
     return counts[counts > 1]
+
+
+def _power(base, prefix, bits):
+    """The window base^e from prefix = base^f, where bits are the binary
+    digits of e after those of f: square-and-multiply from the top digit
+    down, the same gathers as from the bottom up without a live run of
+    squares beside the result.  prefix is only read, by the first gather;
+    from then on two buffers are written in turn, because a fresh array per
+    step costs a page fault per page at large windows."""
+    gathers = bits.replace("1", "sb").replace("0", "s")  # square, times base
+    out = np.empty_like(base) if gathers else None
+    spare = np.empty_like(base) if gathers[1:] else None
+    result = prefix
+    for op in gathers:
+        _take(result if op == "s" else base, result, out)
+        result, out, spare = out, spare, out
+    return result
 
 
 def _embed(win, off, size):
@@ -374,39 +400,43 @@ class Permutation:
 
     def __mul__(self, other):
         """self*other applies self first: x^(self*other) = (x^self)^other."""
+        self._check_domain(other)
+        a, b = self.win, other.win
+        off = self.start - other.start
+        if not off and a.size == b.size:
+            return self._like(_take(b, a), other.start)
+        if 0 <= off and off + a.size <= b.size:
+            # other's window holds self's: outside self's part of it the
+            # product is other, so self is not padded
+            out = b.copy()
+            _take(b[off:off + a.size], a, out[off:off + a.size])
+            return self._like(out, other.start)
         a, b, start = self._pair(other)
         return self._like(_take(b, a), start)
 
     def inverse(self):
-        arr = _put(np.empty_like(self.win), self.win, _arange(self.win.size))
+        arr = _put(np.empty_like(self.win), self.win,
+                   lambda s, e: np.arange(s, e, dtype=np.int32))
         return self._like(arr, self.start)
 
     def __pow__(self, e):
         e = int(e)
         if e == 0:
             return self.identity_like()
-        # square-and-multiply from the top bit down on the bare window: the
-        # same gathers as from the bottom up, without a live run of squares
-        # beside the result.  Two buffers are written in turn, because a
-        # fresh array per step costs a page fault per page at large
-        # windows.
         base = (self if e > 0 else self.inverse()).win
-        bits = bin(abs(e))[3:]
-        if not bits:
-            return self._like(base, self.start)
-        result, spare = base.copy(), np.empty_like(base)
-        for bit in bits:
-            _take(result, result, spare)
-            result, spare = spare, result
-            if bit == "1":
-                _take(base, result, spare)
-                result, spare = spare, result
-        return self._like(result, self.start)
+        return self._like(_power(base, base, bin(abs(e))[3:]), self.start)
+
+    def power_from(self, prefix, bits):
+        """self^e from prefix = self^f, where bits are the binary digits of
+        e after those of f: powers of one base that share the leading
+        digits of their exponents share the squarings that make them."""
+        base, win, start = self._pair(prefix)
+        return self._like(_power(base, win, bits), start)
 
     def conjugate(self, g):
         """self^g = g^-1 * self * g, i.e. self with points relabeled by g."""
         a, b, start = self._pair(g)
-        arr = _put(np.empty_like(a), b, _take(b, a))
+        arr = _put(np.empty_like(a), b, lambda s, e: b.take(a[s:e]))
         return self._like(arr, start)
 
     def __call__(self, point):

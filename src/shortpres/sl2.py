@@ -58,15 +58,16 @@ class Mat2p:
         if e == 0:
             return self.identity_like()
         base = self if e > 0 else self.inverse()
-        e = abs(e)
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return base.power_from(base, bin(abs(e))[3:])
+
+    def power_from(self, prefix, bits):
+        """self^e from prefix = self^f, where bits are the binary digits of
+        e after those of f, through *."""
+        for bit in bits:
+            prefix = prefix * prefix
+            if bit == "1":
+                prefix = prefix * self
+        return prefix
 
     def conjugate(self, g):
         return g.inverse() * self * g
@@ -170,49 +171,3 @@ def subgroup_order(p, mats):
                     nxt.append(prod)
         frontier = nxt
     return len(seen)
-
-
-def scan_cr_generator_pairs(p):
-    """Exhaustive scan over SL(2,p)^2 for pairs satisfying both defining
-    relators; counts how many also make <y, y^jbar (y^j)^x y^jbar x^-1>
-    as large as the full upper-triangular subgroup (order p(p-1)).
-
-    Returns (satisfying_pairs, full_order_pairs).  Quadratic in |SL(2,p)|;
-    intended for small p only."""
-    if p > 31:
-        raise EnumerationTooLarge(f"p = {p} is too large for a full pair scan")
-    ps = derive_params("Alt", "P3", p=p)
-    _, r2 = cr_relator_words(p)
-    h = h_word(ps.j, ps.jbar, -1)
-    group = _all_sl2(p)
-    n_pairs = 0
-    n_full = 0
-    target = p * (p - 1)
-    for x in group:
-        x2 = x * x
-        for y in group:
-            xy = x * y
-            if x2 != xy * xy * xy:
-                continue
-            env = {"x": x, "y": y}
-            if not words.evaluate(r2, env).is_identity():
-                continue
-            n_pairs += 1
-            if subgroup_order(p, [y, words.evaluate(h, env)]) == target:
-                n_full += 1
-    return n_pairs, n_full
-
-
-def _all_sl2(p):
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                # ad - bc = 1: solve for d when a invertible, else bc = -1
-                if a % p:
-                    d = (1 + b * c) * pow(a, -1, p) % p
-                    out.append(Mat2p(a, b, c, d, p))
-                elif (b * c) % p == p - 1:
-                    for d in range(p):
-                        out.append(Mat2p(a, b, c, d, p))
-    return out

@@ -286,9 +286,10 @@ def _transitive(n, windows):
             part = comp[start:start + least.size]
             low = part.copy()
             np.minimum.at(low, least, part)
-            new = np.minimum(part, low[least])
-            if not np.array_equal(new, part):
-                part[:] = new
+            low = low[least]  # one buffer for the new labels, not two
+            np.minimum(part, low, out=low)
+            if not np.array_equal(low, part):
+                part[:] = low
                 jumped = comp[comp]
                 while not np.array_equal(jumped, comp):
                     comp, jumped = jumped, jumped[jumped]
@@ -461,11 +462,6 @@ class Falsification:
         u = sl2._gens_tu(p)[1]
         return [sl2.subgroup_order(p, [u, sl2.element_v(p, ps.j, ps.jbar, corrected=c)])
                 for c in (True, False)]
-
-
-def falsify_original(which, p=11):
-    """Evaluate an uncorrected construction at p and report the witness."""
-    return Falsification(p).report(which)
 
 
 def _falsify_sl2(p):

@@ -20,6 +20,8 @@ Conventions (documented once, used everywhere):
 
 Evaluation compiles the words once into a list of distinct steps, so that a
 subword met anywhere in the program is one step, and runs them in one loop.
+Powers of one base share the binary prefixes of their exponents: x^(p-1)
+is one squaring of x^((p-1)/2), and x^122 and x^123 continue from x^61.
 evaluate_slp returns the value of every generator and definition next to the
 relator values.  relator_values streams (index, value) per relator: each
 relator runs as soon as the names it reads exist, a definition no relator
@@ -481,6 +483,10 @@ class ProductPair:
     def __pow__(self, e):
         return ProductPair(self.left ** e, self.right ** e)
 
+    def power_from(self, prefix, bits):
+        return ProductPair(self.left.power_from(prefix.left, bits),
+                           self.right.power_from(prefix.right, bits))
+
     def conjugate(self, g):
         return ProductPair(self.left.conjugate(g.left), self.right.conjugate(g.right))
 
@@ -498,6 +504,7 @@ class ProductPair:
 _OPS = {
     "id": lambda _, x: x.identity_like(),
     "pow": lambda e, x: x ** e,
+    "from": lambda bits, x, y: x.power_from(y, bits),
     "inv": lambda _, x: x.inverse(),
     "mul": lambda _, x, y: x * y,
     "conj": lambda _, x, y: x.conjugate(y),
@@ -513,7 +520,10 @@ class _Program:
     ("pow", e, x) is x^e for e > 1, ("inv", None, x), ("mul", None, x, y),
     ("conj", None, x, y) is x^y, and ("out", key, x) yields (key, x).
     Equal subwords anywhere in the program compile to one step, and a
-    defined name stands for its word's step.
+    defined name stands for its word's step.  Before a run, the powers of
+    each base share their exponents' common binary prefixes (_schedule),
+    which adds one kind of step: ("from", bits, x, y) is x^e from y = x^f,
+    bits being e's binary digits after f's.
     """
 
     def __init__(self, env):
@@ -521,6 +531,7 @@ class _Program:
         self.ops = dict(_OPS, name=env.__getitem__)
         self.steps = {}  # step -> its number, in compile order
         self.live = {}  # step -> value, while a reader of it is still to run
+        self.powers = {}  # base step -> {exponent: its "pow" step}
         self.names = {name: self._step("name", name) for name in env}
 
     def _step(self, *step):
@@ -533,7 +544,9 @@ class _Program:
         for f in word.factors:
             x = self._base(f.base)
             if abs(f.exp) > 1:
-                x = self._step("pow", abs(f.exp), x)
+                power = self._step("pow", abs(f.exp), x)
+                self.powers.setdefault(x, {})[abs(f.exp)] = power
+                x = power
             if f.exp < 0:
                 x = self._step("inv", None, x)
             k = x if k is None else self._step("mul", None, k, x)
@@ -577,25 +590,82 @@ class _Program:
             for i in ready:
                 self._step("out", i, self.word(slp.relators[i]))
 
+    def _schedule(self):
+        """The steps, with the powers of each base sharing their prefixes
+        (_share), and the order to run them in: a step that a power reads
+        before its own place runs just before that power."""
+        steps = list(self.steps)
+        early = []  # (place, bit length, step): step runs just before place
+        for x, pows in self.powers.items():
+            if len(pows) > 1:
+                early += _share(x, pows, steps)
+        if not early:
+            return steps, range(len(steps))
+        order = list(range(len(steps)))
+        for *_, s in early:
+            order.remove(s)
+        for place, _, s in sorted(early):  # a prefix before its extensions
+            order.insert(order.index(place), s)
+        return steps, order
+
     def run(self):
         """Yield (key, value) at each output step, in order, running only the
         steps an output needs; a value leaves live after its last reader."""
-        steps = list(self.steps)
+        steps, order = self._schedule()
         last = {}  # step -> the step that reads it last
-        for s in reversed(range(len(steps))):
+        for s in reversed(order):
             if s in last or steps[s][0] == "out":
                 for k in steps[s][2:]:
                     last.setdefault(k, s)
         gone = {}
         for k, s in last.items():
             gone.setdefault(s, []).append(k)
-        for s, (op, param, *xs) in enumerate(steps):
+        for s in order:
+            op, param, *xs = steps[s]
             if s in last or op == "out":
                 self.live[s] = self.ops[op](param, *[self.live[k] for k in xs])
                 for k in gone.get(s, ()):
                     del self.live[k]
                 if op == "out":
                     yield param, self.live.pop(s)
+
+
+def _share(x, pows, steps):
+    """Let the powers of base step x share the binary prefixes of their
+    exponents; pows maps each exponent to its "pow" step.
+
+    A prefix of e is f = e >> k > 1.  The prefixes two exponents share are
+    the common leading digits of neighbours in binary (lexicographic)
+    order; one that is no exponent becomes a new step, appended to steps.
+    Each power continues from its longest shared prefix through e's
+    remaining digits (a "from" step); a power with none stays one "pow"
+    step.  Returns (place, bit length, step) for each step that must run
+    before its own place: just before place, the first power that reads it,
+    directly or through a longer prefix."""
+    ranked = sorted(pows, key=bin)
+    shared = {_common_prefix(a, b) for a, b in zip(ranked, ranked[1:])} - {1}
+    if not shared:
+        return []
+    node = dict(pows)  # exponent or shared prefix -> its step
+    for f in shared.difference(pows):
+        node[f] = len(steps)
+        steps.append(("pow", f, x))
+    place = dict(node)
+    for e in sorted(node, key=int.bit_length, reverse=True):  # readers first
+        f = e >> 1
+        while f > 1 and f not in shared:
+            f >>= 1
+        if f > 1:
+            steps[node[e]] = ("from", bin(e)[2 + f.bit_length():], x, node[f])
+            place[f] = min(place[f], place[e])
+    return [(place[e], e.bit_length(), s) for e, s in node.items() if place[e] != s]
+
+
+def _common_prefix(a, b):
+    """The longest common prefix of a and b in binary, as a number."""
+    d = a.bit_length() - b.bit_length()
+    a, b = (a >> d, b) if d > 0 else (a, b >> -d)
+    return a >> (a ^ b).bit_length()
 
 
 def evaluate(word, env):

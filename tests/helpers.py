@@ -12,16 +12,23 @@ purpose: these tests pin down the exact words the builder assembles.
 chain_order runs the stabilizer chain directly, beside the Jordan
 certificate that certify_order tries first.
 
+split_from shares the gathers and scatters of shortpres.perm among
+threads from a given size on, however small, for the tests that run an
+operation both split and whole.
+
 The last section is a standalone evaluator on plain dicts for the
 degree-(p+3) relator words.  It rebuilds the generator images from their
 closed forms and multiplies them itself, so a cycle type it reports does
 not rest on shortpres.perm, shortpres.words or shortpres.sl2.
 """
 
+import contextlib
 import itertools
 import math
 import random
+from unittest import mock
 
+from shortpres import perm
 from shortpres.builders import (
     _c_word,
     _d_word,
@@ -34,6 +41,18 @@ from shortpres.verify import _chain_order, certify_order
 from shortpres.words import evaluate, evaluate_slp, sym
 
 A, Z, X = sym("a"), sym("z"), sym("x")
+
+
+@contextlib.contextmanager
+def split_from(points, threads):
+    """Share every gather and scatter of at least `points` points among
+    `threads` threads, on a pool made for the block and shut down after it."""
+    with mock.patch.multiple(perm, _SPLIT=points, _threads=threads, _pool=None):
+        try:
+            yield
+        finally:
+            if perm._pool is not None:
+                perm._pool.shutdown()
 
 
 def expected_pair_stack(p, lo, hi):

@@ -39,7 +39,7 @@ from shortpres.sl2 import (
     gens_tu,
     subgroup_order,
 )
-from shortpres.verify import certify_order, falsify_original
+from shortpres.verify import Falsification, certify_order
 from shortpres.words import evaluate_slp
 
 pytestmark = pytest.mark.acceptance
@@ -239,7 +239,7 @@ def test_criterion_06_uncorrected_constructions_falsified(verdict):
 
     # the uncorrected bracketing of the short transposition word leaves
     # a stray transposition (1,10) instead of the top transposition
-    transposition = falsify_original("TranspositionWord", p)
+    transposition = Falsification(p).report("TranspositionWord")
     assert transposition.details["original_value"] == "(1,10)"
     assert transposition.details["corrected_matches"] is True
 
@@ -251,7 +251,7 @@ def test_criterion_06_uncorrected_constructions_falsified(verdict):
     # The standalone dict evaluator confirms the program's value, under
     # either product order, on the same closed-form images that make the
     # corrected relator vanish.
-    relator = falsify_original("P3Relator", p)
+    relator = Falsification(p).report("P3Relator")
     entry = relator.relators[0]
     assert not entry["identity"]
     got_type = sorted(entry["cycle_type"])

@@ -3,7 +3,6 @@
 Products apply the left factor first throughout, so (1,2)(2,3) = (1,3,2).
 """
 
-import contextlib
 import math
 import multiprocessing
 import os
@@ -20,6 +19,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import split_from
 from shortpres import perm
 from shortpres.errors import (
     DomainMismatch,
@@ -365,23 +365,11 @@ def test_windows_agree_with_the_dense_reference(pair, e):
     assert (f == g) == (x.tolist() == y.tolist())
 
 
-@contextlib.contextmanager
-def _split_from(points, threads):
-    """Share every gather and scatter of at least `points` points among
-    `threads` threads, on a pool made for the block and shut down after it."""
-    with mock.patch.multiple(perm, _SPLIT=points, _threads=threads, _pool=None):
-        try:
-            yield
-        finally:
-            if perm._pool is not None:
-                perm._pool.shutdown()
-
-
 def test_split_windows_agree_with_the_dense_reference():
     """The property above with every window split among three threads,
     however small: uneven chunks, chunks of no points (windows of fewer
     than twelve points) and empty windows (identities)."""
-    with _split_from(0, 3):
+    with split_from(0, 3):
         test_windows_agree_with_the_dense_reference()
         assert perm._pool is not None
 
@@ -390,7 +378,7 @@ def test_split_is_used_from_the_threshold_on():
     submitted = []
     x = np.random.default_rng(5).permutation(200)
     f = Permutation(x + 1)
-    with _split_from(200, 2):
+    with split_from(200, 2):
         pool = perm._executor()
         submit = pool.submit
 
@@ -424,7 +412,7 @@ def test_a_forked_child_splits_on_a_pool_of_its_own():
     x = np.random.default_rng(7).permutation(5000)
     f = Permutation(x + 1)
     expected = Permutation(_dense_power(x, 12345) + 1)
-    with _split_from(64, 2):
+    with split_from(64, 2):
         power = (f ** 12345).images
         assert np.array_equal(power, expected.images)
         assert perm._pool is not None
@@ -471,7 +459,7 @@ def test_concurrent_splits_make_one_pool_and_agree_with_serial():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _split_from(64, 3), mock.patch.object(
+        with split_from(64, 3), mock.patch.object(
                 perm.concurrent.futures, "ThreadPoolExecutor", CountingPool):
             workers = [threading.Thread(target=work, args=(i,))
                        for i in range(count)]

@@ -15,14 +15,14 @@ from shortpres.errors import (
     InternalInvariantViolation,
     ParityViolation,
 )
-from shortpres.numth import is_prime
+from shortpres.numth import derive_params, is_prime
 from shortpres.sl2 import (
     Mat2p,
     check_cr_relators,
     cr_relator_words,
     element_v,
     gens_tu,
-    scan_cr_generator_pairs,
+    h_word,
     subgroup_order,
 )
 from shortpres.words import bit_length, evaluate
@@ -128,6 +128,56 @@ class TestSubgroupOrder:
         assert subgroup_order(11, []) == 1
         with pytest.raises(EnumerationTooLarge):
             subgroup_order(101, [Mat2p(1, 0, 0, 1, 101)])
+
+
+# The exhaustive pair scan behind TestPairScan's finding.
+
+
+def scan_cr_generator_pairs(p):
+    """Exhaustive scan over SL(2,p)^2 for pairs satisfying both defining
+    relators; counts how many also make <y, y^jbar (y^j)^x y^jbar x^-1>
+    as large as the full upper-triangular subgroup (order p(p-1)).
+
+    Returns (satisfying_pairs, full_order_pairs).  Quadratic in |SL(2,p)|;
+    intended for small p only."""
+    if p > 31:
+        raise EnumerationTooLarge(f"p = {p} is too large for a full pair scan")
+    ps = derive_params("Alt", "P3", p=p)
+    _, r2 = cr_relator_words(p)
+    h = h_word(ps.j, ps.jbar, -1)
+    group = _all_sl2(p)
+    n_pairs = 0
+    n_full = 0
+    target = p * (p - 1)
+    for x in group:
+        x2 = x * x
+        for y in group:
+            xy = x * y
+            if x2 != xy * xy * xy:
+                continue
+            env = {"x": x, "y": y}
+            if not evaluate(r2, env).is_identity():
+                continue
+            n_pairs += 1
+            if subgroup_order(p, [y, evaluate(h, env)]) == target:
+                n_full += 1
+    return n_pairs, n_full
+
+
+def _all_sl2(p):
+    """Every element of SL(2, p)."""
+    out = []
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                # ad - bc = 1: solve for d when a invertible, else bc = -1
+                if a % p:
+                    d = (1 + b * c) * pow(a, -1, p) % p
+                    out.append(Mat2p(a, b, c, d, p))
+                elif (b * c) % p == p - 1:
+                    for d in range(p):
+                        out.append(Mat2p(a, b, c, d, p))
+    return out
 
 
 class TestPairScan:

@@ -40,10 +40,10 @@ from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import (
     FALSIFICATION_TARGETS,
     CertifiedOrder,
+    Falsification,
     certify_order,
     check_relators,
     expected_symmetry_order,
-    falsify_original,
     verify_presentation,
 )
 from shortpres.words import evaluate_slp, relator_values
@@ -528,10 +528,10 @@ class TestFalsification:
         assert FALSIFICATION_TARGETS == (
             "SL2Generators", "P3Relator", "P3RelatorHOnly", "TranspositionWord")
         with pytest.raises(InternalInvariantViolation):
-            falsify_original("NoSuchTarget")
+            Falsification(11).report("NoSuchTarget")
 
     def test_sl2_witness(self):
-        report = falsify_original("SL2Generators")
+        report = Falsification(11).report("SL2Generators")
         assert not report.relators[0]["identity"]
         assert report.relators[0]["value"] == "[[10,0],[0,10]]"
         # at p = 2 (mod 3) the second relator happens to hold anyway
@@ -543,13 +543,13 @@ class TestFalsification:
 
     def test_sl2_sign_error_appears_for_both_prime_classes(self):
         for p in (11, 13):
-            report = falsify_original("SL2Generators", p=p)
+            report = Falsification(p).report("SL2Generators")
             assert not report.relators[0]["identity"]
             assert report.details["corrected_relators_hold"] is True
 
     @pytest.mark.parametrize("which", ["P3Relator", "P3RelatorHOnly"])
     def test_p3_powered_word_survives(self, which):
-        report = falsify_original(which)
+        report = Falsification(11).report(which)
         assert report.degree == 14
         assert not report.relators[0]["identity"]
         assert report.relators[0]["cycle_type"] == [5, 5]
@@ -560,7 +560,7 @@ class TestFalsification:
         assert report.details["corrected_relator_identity"] is True
 
     def test_transposition_word_witness(self):
-        report = falsify_original("TranspositionWord")
+        report = Falsification(11).report("TranspositionWord")
         assert report.degree == 13
         assert not report.relators[0]["identity"]
         assert report.details["original_value"] == "(1,10)"
@@ -571,14 +571,14 @@ class TestFalsification:
 
     def test_transposition_word_corrected_matches_at_other_primes(self):
         for p in (19, 23):
-            report = falsify_original("TranspositionWord", p=p)
+            report = Falsification(p).report("TranspositionWord")
             assert report.details["corrected_matches"] is True
             assert report.details["original_matches"] is False
 
     def test_transposition_word_prime_class_guarded(self):
         # outside p = 3 (mod 4) the word is never used; reject such primes
         with pytest.raises(BadPrimeClass):
-            falsify_original("TranspositionWord", p=13)
+            Falsification(13).report("TranspositionWord")
 
 
 class TestAglOrderCertification:

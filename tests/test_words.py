@@ -4,13 +4,17 @@ Bit-length and word-length values below are hand-computed from the
 conventions documented in the words module docstring.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import split_from
 from shortpres import words
 from shortpres.errors import InternalInvariantViolation, UnboundSymbol
-from shortpres.builders import base_p2_hat, glued
+from shortpres.builders import base_p2_hat, glued, presentation_for
 from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import check_relators
 from shortpres.words import (
@@ -586,6 +590,108 @@ class TestCachedEvaluator:
         assert powers == [2]
         values, _ = evaluate_slp(slp, env)
         assert values["c"] == real_pow(env["a"], 5)
+
+
+# ---------------------------------------------------------------------------
+# powers of one base sharing their binary prefixes
+
+
+@st.composite
+def windowed_perms(draw):
+    """A permutation of a random domain that moves a random stretch of it,
+    so its window is often neither the whole domain nor at its start."""
+    size, lo = draw(st.integers(1, 300)), draw(st.integers(-3, 3))
+    first = draw(st.integers(0, size - 1))
+    moved = draw(st.permutations(range(draw(st.integers(1, size - first)))))
+    images = list(range(size))
+    images[first:first + len(moved)] = [first + i for i in moved]
+    return Permutation([lo + i for i in images], lo)
+
+
+# exponents grown from a few roots by appending binary digits, so that
+# they share prefixes with each other and with the roots
+SHARING_EXPONENTS = st.lists(st.integers(2, 300), min_size=1, max_size=3).flatmap(
+    lambda roots: st.lists(st.builds(
+        lambda root, digits, low, sign: sign * (root << digits | low % (1 << digits)),
+        st.sampled_from(roots), st.integers(0, 12), st.integers(0, 4095),
+        st.sampled_from([1, -1])), min_size=1, max_size=8))
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(windowed_perms(), windowed_perms(), SHARING_EXPONENTS)
+def test_shared_powers_equal_plain_powers(x, y, exponents):
+    slp = Slp(("x",), (), tuple(sym("x") ** e for e in exponents))
+    for base in (x, ProductPair(x, y)):
+        got = dict(relator_values(slp, {"x": base}))
+        assert [got[i] for i in range(len(exponents))] == [base ** e for e in exponents]
+
+
+def test_shared_powers_agree_when_every_window_is_split():
+    with split_from(0, 3):
+        test_shared_powers_equal_plain_powers()
+
+
+def _power_gathers(step):
+    """The squarings and products by the base that a power step runs."""
+    op, param = step[:2]
+    if op == "pow":
+        return param.bit_length() + bin(param).count("1") - 2
+    if op == "from":
+        return len(param) + param.count("1")
+    return 0
+
+
+class TestSharedPowers:
+    def test_a_prefix_two_powers_share_is_computed_once(self):
+        slp = Slp.from_text("generators: x\nrelator: x^122\nrelator: x^-123\n")
+        program = words._Program({"x": None})
+        program.slp(slp, definitions=False)
+        steps, order = program._schedule()
+        x = program.names["x"]
+        prefix = steps.index(("pow", 61, x))
+        readers = [steps.index(("from", bits, x, prefix)) for bits in "01"]
+        assert [_power_gathers(steps[s]) for s in (prefix, *readers)] == [9, 1, 2]
+        assert all(order.index(prefix) < order.index(s) for s in readers)
+
+    def test_a_power_continues_from_an_exponent_read_later(self):
+        """a^5 runs before a^11 reads it, although a^5 is compiled after."""
+        slp = Slp.from_text("generators: a\nrelator: a^11\nrelator: a^5\n")
+        program = words._Program({"a": None})
+        program.slp(slp, definitions=False)
+        steps, order = program._schedule()
+        five = program.steps["pow", 5, program.names["a"]]
+        eleven = program.steps["pow", 11, program.names["a"]]
+        assert steps[eleven] == ("from", "1", program.names["a"], five)
+        assert order.index(five) < order.index(eleven) and five > eleven
+        env = {"a": parse_cycles("(1,2,3,4,5,6,7,8)", 1, 8)}
+        assert dict(relator_values(slp, env)) == {0: env["a"] ** 11, 1: env["a"] ** 5}
+
+    def test_the_relator_program_of_sym_1500001_gathers_less(self):
+        """Counted on the compiled program alone; no image is built."""
+        slp = presentation_for(1500001, "Sym").slp
+        program = words._Program(dict.fromkeys(slp.generators))
+        program.slp(slp, definitions=False)
+        steps, _ = program._schedule()
+        assert sum(map(_power_gathers, program.steps)) == 349
+        assert sum(map(_power_gathers, steps)) <= 265
+
+    def test_an_exhausted_stream_frees_the_images_without_the_cyclic_gc(self):
+        pres = glued(1001, "Sym")
+        images = {name: Permutation(img.images + img.lo, img.lo)
+                  for name, img in pres.images.items()}
+        # a Permutation has slots and no weak references; its window does
+        refs = [weakref.ref(img.win) for img in images.values()]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            values = [value for _, value in relator_values(pres.slp, images)]
+            del images
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+        assert all(value.is_identity() for value in values)
 
 
 # ---------------------------------------------------------------------------
