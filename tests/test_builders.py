@@ -200,9 +200,12 @@ class TestAglExamples:
 
 # sha256 of json.dumps(presentation_json(...)) over every AGL variant, with
 # and without the extra relator and simplification, in that order, recorded
-# before agl_examples took its relators from the base-case words.
+# before agl_examples took its relators from the base-case words (7 and 19
+# before the word families moved behind builders._Words).
 AGL_DIGESTS = {
+    7: "47fca4ecb5f289faffaf3a7a69a2379826c34e72c63407b0b1e97404a9bf1b6b",
     11: "9059b577e25fbaed7f86cc6c9ab8085c73464a7c2854b5e1f2750ded9b210472",
+    19: "f2abc74006064f8890f0eb96ca145173b556c72e160c816338b0f32b11f6bc77",
     23: "f20615799fb3539ab15ec2aad303d2c8d31a4d5b8c44e5febefc84de3ba6e4a5",
     47: "ffa9b16c83028338e214f2275d70813e3ef675979c7bdc77671cdead523a7fd5",
 }
@@ -218,6 +221,27 @@ def test_agl_json_digest(p):
                                     simplify=simp)
                 digest.update(json.dumps(presentation_json(pres)).encode())
     assert digest.hexdigest() == AGL_DIGESTS[p]
+
+
+# sha256 of base_p2_hat(p, kind, simplify=s).slp.to_text() over these
+# primes, literal exponents first, recorded before the word families moved
+# behind builders._Words; no emit digest covers the base case at Sym 5 or 17
+HAT_DIGESTS = {
+    "Alt": ((11, 23, 47),
+            "cbbd32fb09bacaef01d7d1b35c5b78142f2774613ec1ad0debb9df5b0b75067a"),
+    "Sym": ((5, 11, 17),
+            "07fbbd4e9d5fb79188d07271555b276893f76f585bcbae3eccfacbb7f1ae775f"),
+}
+
+
+@pytest.mark.parametrize("kind", list(HAT_DIGESTS))
+def test_hat_text_digest(kind):
+    primes, want = HAT_DIGESTS[kind]
+    digest = hashlib.sha256()
+    for p in primes:
+        for simp in (False, True):
+            digest.update(base_p2_hat(p, kind, simplify=simp).slp.to_text().encode())
+    assert digest.hexdigest() == want
 
 
 class TestAltP3:
