@@ -16,16 +16,6 @@ representative (so 0 sits at point p and x -> x+1 becomes (1,2,...,p)).
 The two extra points of a degree-(p+2) action are p+1 and p+2; the three
 extra points of the degree-(p+3) action are p+1 (the infinite point of the
 projective line), p+2 and p+3.
-
-Exponent handling: with simplify=True (the default) auxiliary words carry
-least-absolute exponents modulo the known image orders (a modulo p, the
-grouped (a x) modulo p-1, conjugating indices modulo p) and the residue s
-is lifted to whichever of s, s-p costs fewer bits.  The reduction happens
-as each word is built; only cbull, whose seam merges two reduced powers
-of a, is reduced once more.  With simplify=False all exponents are kept
-exactly as the defining formulas state them (adjacent powers of one base
-still merge where words are concatenated).  Relators other than the
-s-lift are never rewritten.
 """
 
 from __future__ import annotations
@@ -50,6 +40,9 @@ from .words import GroupWord, ProductPair, Slp, comm, conj, sym
 MATERIALIZE_MAX_DEGREE = 10_000_000
 # images are int32 windows, which address at most MAX_DEGREE = 2^31 - 1 points
 assert MATERIALIZE_MAX_DEGREE <= MAX_DEGREE
+
+# the symbols of the generators and the definitions that name them
+A, B, G, T, X, Y, Z = (sym(name) for name in "abgtxyz")
 
 
 @dataclass
@@ -116,50 +109,64 @@ def carmichael(n):
 # shared pieces for the p+2 / glued families
 
 
-def _lift_residue(s, p, simplify):
-    """Lift the residue s in [1, p-1] to s or s-p, whichever costs fewer bits."""
-    if simplify and words.exponent_bits(s - p) < words.exponent_bits(s):
-        return s - p
-    return s
+@dataclass(frozen=True)
+class _Words:
+    """The word families z(i), d(i, j) and c(i, j) over the generator
+    symbols at the prime p, made once per construction.
 
+    Exponent handling: with simplify=True (the default) auxiliary words carry
+    least-absolute exponents modulo the known image orders (a modulo p, the
+    grouped (a x) modulo p-1, conjugating indices modulo p) and the residue s
+    is lifted to whichever of s, s-p costs fewer bits.  The reduction happens
+    as each word is built; only cbull, whose seam merges two reduced powers
+    of a, is reduced once more.  With simplify=False all exponents are kept
+    exactly as the defining formulas state them (adjacent powers of one base
+    still merge where words are concatenated).  Relators other than the
+    s-lift are never rewritten.
+    """
 
-def _z_word(z, a, i, p, simplify):
-    """z conjugated by a^i (the 3-cycle (i, p+1, p+2) in the image)."""
-    i = _red_mod(i, p, simplify)
-    if i == 0:
-        return z
-    return conj(z, a ** i)
+    p: int
+    simplify: bool = True
 
+    def red(self, e, m):
+        """e, or its least-absolute residue modulo m when simplifying."""
+        return words.least_absolute(e, m) if self.simplify else e
 
-def _d_word(z, a, i, j, p, simplify):
-    """z(i) z(j)^-1 z(i), the even cycle (i,j)(p+1,p+2); needs i != j mod p."""
-    if (i - j) % p == 0:
-        raise InternalInvariantViolation(f"d({i},{j}) needs distinct indices mod {p}")
-    zi = _z_word(z, a, i, p, simplify)
-    zj = _z_word(z, a, j, p, simplify)
-    return zi * zj ** -1 * zi
+    def lift(self, s):
+        """Lift the residue s in [1, p-1] to s or s-p, whichever costs fewer bits."""
+        if self.simplify and words.exponent_bits(s - self.p) < words.exponent_bits(s):
+            return s - self.p
+        return s
 
+    def z(self, i):
+        """z conjugated by a^i (the 3-cycle (i, p+1, p+2) in the image)."""
+        i = self.red(i, self.p)
+        return Z if i == 0 else conj(Z, A ** i)
 
-def _c_word(z, a, x, i, j, p, simplify):
-    """The even-cycle word for (i,...,j)(p+1,p+2)^(j-i), defined for
-    1 <= i <= j <= p+2 (with i <= p-2 once j reaches p)."""
-    if not 1 <= i <= j <= p + 2:
-        raise InternalInvariantViolation(f"c({i},{j}) out of range for p = {p}")
-    if j <= p - 1:
-        return (a ** _red_mod(-j, p, simplify)
-                * (a * x) ** _red_mod(j - i, p - 1, simplify)
-                * a ** _red_mod(i, p, simplify))
-    if i > p - 2:
-        raise InternalInvariantViolation(f"c({i},{j}) needs i <= p-2 for p = {p}")
-    if j == p:
-        return conj(z, (z * a) ** -2) * _c_word(z, a, x, i, p - 2, p, simplify)
-    if j == p + 1:
-        return conj(z, (z * a) ** -1) * _c_word(z, a, x, i, p - 1, p, simplify)
-    return z * _c_word(z, a, x, i, p, p, simplify)
+    def d(self, i, j):
+        """z(i) z(j)^-1 z(i), the even cycle (i,j)(p+1,p+2); needs i != j mod p."""
+        if (i - j) % self.p == 0:
+            raise InternalInvariantViolation(
+                f"d({i},{j}) needs distinct indices mod {self.p}")
+        zi = self.z(i)
+        return zi * self.z(j) ** -1 * zi
 
-
-def _red_mod(e, m, simplify):
-    return words.least_absolute(e, m) if simplify else e
+    def c(self, i, j):
+        """The even-cycle word for (i,...,j)(p+1,p+2)^(j-i), defined for
+        1 <= i <= j <= p+2 (with i <= p-2 once j reaches p)."""
+        p = self.p
+        if not 1 <= i <= j <= p + 2:
+            raise InternalInvariantViolation(f"c({i},{j}) out of range for p = {p}")
+        if j <= p - 1:
+            return (A ** self.red(-j, p) * (A * X) ** self.red(j - i, p - 1)
+                    * A ** self.red(i, p))
+        if i > p - 2:
+            raise InternalInvariantViolation(f"c({i},{j}) needs i <= p-2 for p = {p}")
+        if j == p:
+            return conj(Z, (Z * A) ** -2) * self.c(i, p - 2)
+        if j == p + 1:
+            return conj(Z, (Z * A) ** -1) * self.c(i, p - 1)
+        return Z * self.c(i, p)
 
 
 def _field_points(p, lo, hi):
@@ -217,33 +224,32 @@ def _g_image(ps, lo, hi):
     return Permutation(arr, lo)
 
 
-def _base_relators(a, b, z, ps, simplify):
-    s = _lift_residue(ps.s, ps.p, simplify)
+def _base_relators(w, ps):
+    s = w.lift(ps.s)
     return (
-        a ** ps.p * b ** -ps.kappa,
-        conj(a ** s, b) * a ** -(s - 1),
-        (z * conj(z, a)) ** 2,
+        A ** ps.p * B ** -ps.kappa,
+        conj(A ** s, B) * A ** -(s - 1),
+        (Z * conj(Z, A)) ** 2,
     )
 
 
-def _base_h_word(a, b, z, ps, simplify, double_b):
+def _base_h_word(w, ps, double_b):
     """(b^eps z(1) z(i))^((p+1)/2) with i = -1 (Alt) or r (Sym)."""
-    p = ps.p
-    zi = _z_word(z, a, -1 if ps.kind == "Alt" else ps.r, p, simplify)
-    head = b ** 2 if double_b else b
-    return (head * conj(z, a) * zi) ** ((p + 1) // 2)
+    zi = w.z(-1 if ps.kind == "Alt" else ps.r)
+    head = B ** 2 if double_b else B
+    return (head * conj(Z, A) * zi) ** ((ps.p + 1) // 2)
 
 
 def base_p2(p, kind, params=None, simplify=True):
     """The 2-generator 4-relator presentation of A_{p+2} or S_{p+2}."""
     ps = _intake(kind, "BaseP2", p + 2, params)
-    a, g, z_, b_ = sym("a"), sym("g"), sym("z"), sym("b")
+    w = _Words(p, simplify)
     defs = [
-        ("b", g ** 3),
-        ("z", g ** ps.kappa),
-        ("h", _base_h_word(a, b_, z_, ps, simplify, double_b=(ps.kind == "Sym"))),
+        ("b", G ** 3),
+        ("z", G ** ps.kappa),
+        ("h", _base_h_word(w, ps, double_b=(ps.kind == "Sym"))),
     ]
-    relators = _base_relators(a, b_, z_, ps, simplify) + (sym("h"),)
+    relators = _base_relators(w, ps) + (sym("h"),)
     slp = Slp(("a", "g"), tuple(defs), relators)
     lo, hi = 1, p + 2
     return Presentation(slp, ps.kind, p + 2, "base_p2", ps, (lo, hi), lambda: {
@@ -285,30 +291,29 @@ def agl_examples(p, variant, with_extra_relator=False, simplify=True):
     if variant not in _AGL_VARIANTS:
         raise InternalInvariantViolation(f"unknown variant {variant!r}")
     numth.require_affine_prime(p, variant == "AltAGL2", variant)
-    return _agl(p, variant, with_extra_relator, simplify)
+    return _agl(_Words(p, simplify), variant, with_extra_relator)
 
 
-def _agl(p, variant, with_extra_relator, simplify):
-    """agl_examples for a prime p already checked to be of its class."""
+def _agl(w, variant, with_extra_relator):
+    """agl_examples for a prime p = w.p already checked to be of its class."""
+    p = w.p
     squares = variant == "AltAGL2"
     r, s, kappa = numth.unit_fields(p, squares)
     ps = ParamSet(kind="Sym" if variant == "SymAGL" else "Alt",
                   n=p + 2, p=p, r=r, s=s, alpha=None, kappa=kappa)
-    a, b, z = sym("a"), sym("b"), sym("z")
-    base = _base_relators(a, b, z, ps, simplify)
-    relators = [*base[:2], z ** 3, base[2]]
+    base = _base_relators(w, ps)
+    relators = [*base[:2], Z ** 3, base[2]]
     if variant == "AltAGL":
-        relators.append(conj(z, b) * z)  # z^b = z^-1
+        relators.append(conj(Z, B) * Z)  # z^b = z^-1
     elif variant == "AltAGL2":
-        relators.append(conj(z, b) * z ** -1)  # z^b = z
+        relators.append(conj(Z, B) * Z ** -1)  # z^b = z
     else:
-        relators.append(comm(z, b))
+        relators.append(comm(Z, B))
     if with_extra_relator:
         if variant == "AltAGL":
-            relators.append((conj(b, a) * z) ** p)
+            relators.append((conj(B, A) * Z) ** p)
         else:
-            relators.append(_base_h_word(a, b, z, ps, simplify,
-                                         double_b=(variant == "SymAGL")))
+            relators.append(_base_h_word(w, ps, double_b=(variant == "SymAGL")))
     slp = Slp(("a", "b", "z"), (), tuple(relators))
     lo, hi = 1, p + 2
 
@@ -346,13 +351,12 @@ def alt_p3(p, params=None):
     there is nothing the freedom rules allow us to shorten.
     """
     ps = _intake("Alt", "P3", p + 3, params)
-    x, y, z = sym("x"), sym("y"), sym("z")
     relators = sl2.cr_relator_words(p) + (
-        z ** 3,
-        (z * conj(z, x)) ** 2,
-        comm(y, z),
-        comm(sym("h"), z),
-        (sym("h") * conj(z, x * y) * conj(z, x * y ** ps.j)) ** ((p + 1) // 2),
+        Z ** 3,
+        (Z * conj(Z, X)) ** 2,
+        comm(Y, Z),
+        comm(sym("h"), Z),
+        (sym("h") * conj(Z, X * Y) * conj(Z, X * Y ** ps.j)) ** ((p + 1) // 2),
     )
     h_word = sl2.h_word(ps.j, ps.jbar, (-1) ** ps.k_sl)
     slp = Slp(("x", "y", "z"), (("h", h_word),), relators)
@@ -380,43 +384,33 @@ def glued(n, kind, params=None, simplify=True):
     p, k = ps.p, ps.k
     kind = ps.kind
     n_even = n % 2 == 0
-    a, g, y, z, b, x = sym("a"), sym("g"), sym("y"), sym("z"), sym("b"), sym("x")
-
-    def zw(i):
-        return _z_word(z, a, i, p, simplify)
-
-    def dw(i, j):
-        return _d_word(z, a, i, j, p, simplify)
-
-    def cw(i, j):
-        return _c_word(z, a, x, i, j, p, simplify)
-
+    w = _Words(p, simplify)
     defs = [
-        ("b", g ** 3),
-        ("z", g ** ps.kappa),
-        ("h", _base_h_word(a, b, z, ps, simplify, double_b=True)),
-        ("x", dw(0, 1)),
-        ("atil", conj(zw(3), zw(2) * zw(1))),
+        ("b", G ** 3),
+        ("z", G ** ps.kappa),
+        ("h", _base_h_word(w, ps, double_b=True)),
+        ("x", w.d(0, 1)),
+        ("atil", conj(w.z(3), w.z(2) * w.z(1))),
     ]
     t = GroupWord()  # the transposition t, in Sym only
     if kind == "Sym":
-        defs.extend(_transposition_defs(a, b, z, x, p, simplify))
-        t = sym("t")
+        defs.extend(_transposition_defs(w))
+        t = T
     # c starts at 2 for odd Sym and even Alt degrees, else at 1; e one later
     i = 2 if (kind == "Sym") != n_even else 1
-    defs.append(("c", cw(i, k) * t))
-    defs.append(("d", cw(5, p + 2)))
-    defs.append(("e", z * a * t * ~cw(i + 1, k + 1)))
+    defs.append(("c", w.c(i, k) * t))
+    defs.append(("d", w.c(5, p + 2)))
+    defs.append(("e", Z * A * t * ~w.c(i + 1, k + 1)))
 
-    w_def, tele_defs = _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t)
+    w_def, tele_defs = _glued_w(w, kind, n_even, k)
     defs.extend(tele_defs)
     defs.append(("w", w_def))
 
-    relators = _base_relators(a, b, z, ps, simplify) + (
-        sym("atil") * conj(sym("atil") * sym("h"), y) ** -1,
-        sym("c") * conj(sym("c"), y) ** -1,
-        comm(sym("d"), conj(sym("e"), y)),
-        y * sym("w") ** -1,
+    relators = _base_relators(w, ps) + (
+        sym("atil") * conj(sym("atil") * sym("h"), Y) ** -1,
+        sym("c") * conj(sym("c"), Y) ** -1,
+        comm(sym("d"), conj(sym("e"), Y)),
+        Y * sym("w") ** -1,
     )
     slp = Slp(("a", "g", "y"), tuple(defs), relators)
     lo, hi = k - p - 1, p + 2
@@ -427,59 +421,57 @@ def glued(n, kind, params=None, simplify=True):
     })
 
 
-def _transposition_defs(a, b, z, x, p, simplify):
+def _transposition_defs(w):
     """The Sym definitions cbull, v and t, where t is the transposition
     (p+1, p+2) for p = 3 (mod 4); x names the even cycle d(0, 1)."""
+    p = w.p
     half_down = (p - 1) // 2
-    cbull = (_c_word(z, a, x, 1, half_down, p, simplify)
-             * ~_c_word(z, a, x, half_down + 1, p - 1, p, simplify))
-    if simplify:
+    cbull = w.c(1, half_down) * ~w.c(half_down + 1, p - 1)
+    if w.simplify:
         # the seam of two reduced words merges into a^((p+1)/2), past p/2
         cbull = words.simplify(cbull, {"a": p})
     return [
         ("cbull", cbull),
-        ("v", (sym("cbull") * _d_word(z, a, 1, -1, p, simplify)) ** half_down),
-        ("t", sym("v") * b ** half_down),
+        ("v", (sym("cbull") * w.d(1, -1)) ** half_down),
+        ("t", sym("v") * B ** half_down),
     ]
 
 
-def _glued_w(kind, n_even, p, k, zw, dw, a, z, y, t):
+def _glued_w(w, kind, n_even, k):
     """The w word for each (kind, parity, k) branch, plus the telescope
     definitions (ytil, ztil, xtil, u) when the branch uses them."""
-    za = z * a
+    p = w.p
+    za = Z * A
     if k == p:
-        return conj(z, y * z ** -1) * conj(z, y * z), []
+        return conj(Z, Y * Z ** -1) * conj(Z, Y * Z), []
     if kind == "Sym" and k == p + 1:
-        return conj(t, y * z), []
+        return conj(T, Y * Z), []
     if kind == "Sym" and k == p - 1:
-        mover = a * y * a ** -1
-        return (conj(z, mover * z ** -1) * conj(z, mover * z)
-                * conj(dw(1, p) * t, y * a ** -1)), []
+        mover = A * Y * A ** -1
+        return (conj(Z, mover * Z ** -1) * conj(Z, mover * Z)
+                * conj(w.d(1, p) * T, Y * A ** -1)), []
     # w = head (xtil u^-2)^(m/2) xtil u^m, with u left out when m = 0
     if not n_even:
         head, m = GroupWord(), p - k
     elif kind == "Sym":
-        head, m = conj(t, za * y * za ** -1), p - k - 1
+        head, m = conj(T, za * Y * za ** -1), p - k - 1
     else:
-        head = (conj(dw(1, -1), za * y * a ** -1 * z ** -2 * a ** -1)
-                * conj(zw(1), y * a ** -1 * z ** -1) ** -1)
+        head = (conj(w.d(1, -1), za * Y * A ** -1 * Z ** -2 * A ** -1)
+                * conj(w.z(1), Y * A ** -1 * Z ** -1) ** -1)
         m = p - k - 3
         if m < 0:
             # k = p-1: the telescope exponent is -1, so the tail is freely
             # trivial and its xtil is not even well-formed: w is the head
             return head, []
-    xtil, u = sym("xtil"), sym("u")
-    tele = [d for d in _telescope_defs(k, dw, za, y) if m or d[0] != "u"]
-    return head * (xtil * u ** -2) ** (m // 2) * xtil * u ** m, tele
-
-
-def _telescope_defs(k, dw, za, y):
-    return [
-        ("ytil", dw(1, k + 2) * dw(2, k + 1)),
-        ("ztil", conj(sym("ytil"), y)),
-        ("xtil", conj(sym("ytil"), sym("ztil"))),
-        ("u", za * conj(za, y)),
+    ytil, xtil, u = sym("ytil"), sym("xtil"), sym("u")
+    tele = [
+        ("ytil", w.d(1, k + 2) * w.d(2, k + 1)),
+        ("ztil", conj(ytil, Y)),
+        ("xtil", conj(ytil, sym("ztil"))),
     ]
+    if m:
+        tele.append(("u", za * conj(za, Y)))
+    return head * (xtil * u ** -2) ** (m // 2) * xtil * u ** m, tele
 
 
 def glue_map_image(p, k, kind, lo, hi):

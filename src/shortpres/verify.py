@@ -128,6 +128,8 @@ def printable_order(order):
 
 
 def _cycle_type_json(value):
+    """[] for the identity, else its cycle type (the identity is asked for
+    first, far cheaper than the cycles); a pair of these for a ProductPair."""
     if isinstance(value, ProductPair):
         return [_cycle_type_json(value.left), _cycle_type_json(value.right)]
     return [] if value.is_identity() else list(value.cycle_type())
@@ -142,10 +144,11 @@ def check_relators(pres):
     t0 = time.perf_counter()
     entries = []
     for i, val in relator_values(pres.slp, pres.images):
+        cycle_type = _cycle_type_json(val)
         entries.append({
             "index": i,
-            "identity": val.is_identity(),
-            "cycle_type": _cycle_type_json(val),
+            "identity": not any(cycle_type),
+            "cycle_type": cycle_type,
         })
         del val  # free it before the next relator is evaluated
     entries.sort(key=lambda entry: entry["index"])
@@ -454,9 +457,9 @@ class Falsification:
     def contrast(self):
         """[|<u, v>|, |<u, v'>|] at a prime p = 11 (mod 12), v and v' the
         diagonal witnesses of the corrected and the uncorrected generators;
-        None elsewhere."""
+        None elsewhere, composite p = 11 (mod 12) included."""
         p = self.p
-        if p % 12 != 11:
+        if p % 12 != 11 or isinstance(self._alt_p3, BadPrimeClass):
             return None
         ps = self._p3().params
         u = sl2._gens_tu(p)[1]
@@ -486,7 +489,7 @@ def _falsify_sl2(p):
 def _falsify_p3(which, pres):
     p = pres.params.p
     env = pres.images
-    x, y, z = sym("x"), sym("y"), sym("z")
+    x, y, z = builders.X, builders.Y, builders.Z
     j0 = pres.params.j % p  # j is the smallest generator or that minus p
     if which == "P3Relator":
         h_word = sl2.h_word(j0, pow(j0, -1, p), -1)
@@ -518,16 +521,15 @@ def _falsify_p3(which, pres):
 
 def _falsify_transposition(p):
     # a, b and z act on 1..p+2 as in the degree-(p+2) Sym presentation
-    images = builders._agl(p, "SymAGL", True, True).images
-    a, z, b, x = sym("a"), sym("z"), sym("b"), sym("x")
-    defs = [("x", builders._d_word(z, a, 0, 1, p, True))]
-    defs += builders._transposition_defs(a, b, z, x, p, True)
+    w = builders._Words(p)
+    images = builders._agl(w, "SymAGL", True).images
+    defs = [("x", w.d(0, 1)), *builders._transposition_defs(w)]
     env, _ = evaluate_slp(Slp(tuple(images), defs), images)
     half = (p - 1) // 2
-    dwrd = builders._d_word(z, a, 1, -1, p, True)
+    dwrd = w.d(1, -1)
     cbull = sym("cbull")
     v_orig = cbull * (dwrd * cbull) ** (half - 2) * dwrd * cbull
-    t_orig = evaluate(v_orig * b ** half, env)
+    t_orig = evaluate(v_orig * builders.B ** half, env)
     t_corr = env["t"]
     claimed = Permutation.from_cycles([(p + 1, p + 2)], 1, p + 2)
     matches = t_orig == claimed

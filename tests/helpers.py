@@ -6,8 +6,9 @@ the telescope pair words, and the glue-side long cycle).  Each family has
 a closed-form expected permutation; claim_failures evaluates every family
 inside a built presentation and returns the labels that do not match.
 
-The private word constructors from the builders module are imported on
-purpose: these tests pin down the exact words the builder assembles.
+The families are built through the private builders._Words, the one
+value the builders make their words from: these tests pin down the exact
+words the builder assembles.
 
 chain_order runs the stabilizer chain directly, beside the Jordan
 certificate that certify_order tries first.
@@ -29,18 +30,10 @@ import random
 from unittest import mock
 
 from shortpres import perm
-from shortpres.builders import (
-    _c_word,
-    _d_word,
-    _z_word,
-    covered_degrees,
-    presentation_for,
-)
+from shortpres.builders import _Words, covered_degrees, presentation_for
 from shortpres.perm import Permutation, cycle_lengths
 from shortpres.verify import _chain_order, certify_order
-from shortpres.words import evaluate, evaluate_slp, sym
-
-A, Z, X = sym("a"), sym("z"), sym("x")
+from shortpres.words import evaluate, evaluate_slp
 
 
 @contextlib.contextmanager
@@ -145,15 +138,15 @@ def claim_failures_both(pres, rng=None):
         return Permutation.from_cycles(cycles, lo, hi)
 
     idx = index_samples(p, rng)
+    w = _Words(p)
     for i in idx:
-        check(f"z({i})", evaluate(_z_word(Z, A, i, p, True), env),
-              P([(i, p + 1, p + 2)]))
+        check(f"z({i})", evaluate(w.z(i), env), P([(i, p + 1, p + 2)]))
     for i, j in itertools.combinations(idx, 2):
         if (i - j) % p:
-            check(f"d({i},{j})", evaluate(_d_word(Z, A, i, j, p, True), env),
+            check(f"d({i},{j})", evaluate(w.d(i, j), env),
                   P([(i, j), (p + 1, p + 2)]))
     for i, j in _c_index_pairs(p, idx, rng):
-        check(f"c({i},{j})", evaluate(_c_word(Z, A, X, i, j, p, True), env),
+        check(f"c({i},{j})", evaluate(w.c(i, j), env),
               expected_c(i, j, p, lo, hi))
 
     check("x", env["x"], P([(1, p), (p + 1, p + 2)]))

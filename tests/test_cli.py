@@ -227,6 +227,14 @@ class TestVerify:
         assert all(line.endswith(" OK") for line in lines)
         assert lines[0].startswith("degree=13 kind=Alt case=base_p2")
 
+    def test_literal_exponents_verify_at_every_covered_degree_to_80(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "13..20,25..44,49..80",
+                             "--kind", "both", "--no-simplify")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 120
+        assert all(line.endswith(" identity=True OK") for line in lines)
+
     def test_order_depth_reports_orders(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "13", "--kind", "alt",
                            "--depth", "order")
@@ -445,6 +453,17 @@ class TestStats:
                             "word_length,bits_per_log2_degree")
         assert lines[1] == "13,11,,Alt:base_p2,2,4,70,167,18.917"
 
+    def test_literal_exponents_cost_more_bits(self, capsys):
+        def bit_lengths(*options):
+            code, out, _ = run(capsys, "stats", "-n", "51,1000", "--kind",
+                               "both", *options)
+            assert code == 0
+            return [int(row.split(",")[6]) for row in out.splitlines()[1:]]
+
+        simplified, literal = bit_lengths(), bit_lengths("--no-simplify")
+        assert len(literal) == 4
+        assert all(lit > simp for lit, simp in zip(literal, simplified))
+
     def test_rows_for_each_request(self, capsys):
         code, out, _ = run(capsys, "stats", "-n", "13..20", "--kind", "both")
         assert code == 0
@@ -479,6 +498,15 @@ class TestFalsify:
         code, out, err = run(capsys, "falsify", "--p", "4")
         assert code == 3
         assert "no falsification target applies" in err
+
+    @pytest.mark.parametrize("p", [35, 119])
+    def test_composite_of_the_contrast_class_is_an_argument_error(self, capsys, p):
+        # p = 11 (mod 12) but not prime: every target is skipped, and so is
+        # the contrast, which is given at primes only
+        code, out, err = run(capsys, "falsify", "--p", str(p))
+        assert code == 3
+        assert err == f"shortpres: error: no falsification target applies at p={p}\n"
+        assert "subgroup contrast" not in out
 
     def test_contrast_above_the_enumeration_bound_is_skipped(self, capsys):
         # 107 = 11 (mod 12), but SL(2, 107) is too large to close under

@@ -318,6 +318,18 @@ class TestCheckRelators:
         failing = [e for e in report.relators if not e["identity"]]
         assert failing and all(e["cycle_type"] for e in failing)
 
+    def test_each_relator_asks_for_the_identity_once(self, monkeypatch):
+        real, asked = Permutation.is_identity, []
+
+        def counting(perm):
+            asked.append(perm.degree)
+            return real(perm)
+
+        monkeypatch.setattr(Permutation, "is_identity", counting)
+        report = check_relators(glued(1000, "Sym"))
+        assert report.all_relators_identity
+        assert len(asked) == len(report.relators) == 7
+
     def test_unmaterialized_images_rejected(self):
         pres = base_p2(10000019, "Alt")
         with pytest.raises(DegreeTooLarge):
