@@ -16,6 +16,11 @@ representative (so 0 sits at point p and x -> x+1 becomes (1,2,...,p)).
 The two extra points of a degree-(p+2) action are p+1 and p+2; the three
 extra points of the degree-(p+3) action are p+1 (the infinite point of the
 projective line), p+2 and p+3.
+
+The words and the output formats need only arithmetic on n.  The array
+layer (numpy and perm) is entered through _arrays alone, which only the
+image constructors call, so the first image built loads numpy, and emit as
+slp or flat text, stats and params never do.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
+from functools import cache, cached_property
 
 from . import numth, sl2, words
 from .errors import (
@@ -34,12 +37,26 @@ from .errors import (
     UnsupportedDegree,
 )
 from .numth import ParamSet, derive_params, find_glue_prime, validate_params
-from .perm import MAX_DEGREE, Permutation
 from .words import GroupWord, ProductPair, Slp, comm, conj, sym
 
 MATERIALIZE_MAX_DEGREE = 10_000_000
-# images are int32 windows, which address at most MAX_DEGREE = 2^31 - 1 points
-assert MATERIALIZE_MAX_DEGREE <= MAX_DEGREE
+
+
+@cache
+def _arrays():
+    """numpy and the Permutation class, imported on the first call.
+
+    The image constructors are the only callers, so a process that builds
+    no image never loads numpy.
+    """
+    import numpy as np
+
+    from . import perm
+
+    # images are int32 windows, which address at most MAX_DEGREE = 2^31 - 1 points
+    assert MATERIALIZE_MAX_DEGREE <= perm.MAX_DEGREE
+    return np, perm.Permutation
+
 
 # the symbols of the generators and the definitions that name them
 A, B, G, T, X, Y, Z = (sym(name) for name in "abgtxyz")
@@ -84,8 +101,7 @@ def moore(n):
             relators.append((gens[i] * gens[j]) ** 2)
     slp = Slp(tuple(names), (), tuple(relators))
     return Presentation(slp, "Baseline", n, "moore", None, (1, n), lambda: {
-        name: Permutation.from_cycles([(i + 1, i + 2)], 1, n)
-        for i, name in enumerate(names)})
+        name: _cycles([(i + 1, i + 2)], 1, n) for i, name in enumerate(names)})
 
 
 def carmichael(n):
@@ -101,8 +117,7 @@ def carmichael(n):
     slp = Slp(tuple(names), (), tuple(relators))
     hi = n + 2
     return Presentation(slp, "Baseline", hi, "carmichael", None, (1, hi), lambda: {
-        name: Permutation.from_cycles([(i + 1, n + 1, hi)], 1, hi)
-        for i, name in enumerate(names)})
+        name: _cycles([(i + 1, n + 1, hi)], 1, hi) for i, name in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +184,16 @@ class _Words:
         return Z * self.c(i, p)
 
 
+def _cycles(cycles, lo, hi):
+    """The permutation of [lo, hi] with these disjoint cycles."""
+    return _arrays()[1].from_cycles(cycles, lo, hi)
+
+
 def _field_points(p, lo, hi):
     """The identity images of [lo, hi] and the embedded field points 1..p."""
     if lo > 1 or hi < p:
         raise PointOutOfDomain(1 if lo > 1 else p, lo, hi)
+    np, _ = _arrays()
     return np.arange(lo, hi + 1, dtype=np.int64), np.arange(1, p + 1, dtype=np.int64)
 
 
@@ -187,6 +208,7 @@ def _mul_points(factor, p, lo, hi):
 
 def _mul_image(factor, p, lo, hi):
     """x -> factor*x on the embedded F_p (reps 1..p), fixing everything else."""
+    _, Permutation = _arrays()
     return Permutation(_mul_points(factor, p, lo, hi), lo)
 
 
@@ -194,6 +216,7 @@ def _a_image(p, lo, hi):
     """(1,2,...,p) inside [lo, hi]: the shift x -> x+1 on the embedded F_p."""
     arr, reps = _field_points(p, lo, hi)
     arr[1 - lo:p + 1 - lo] = reps % p + 1
+    _, Permutation = _arrays()
     return Permutation(arr, lo)
 
 
@@ -205,6 +228,7 @@ def _x_image(p, lo, hi):
     arr, _ = _field_points(p, lo, hi)
     arr[1 - lo:p - lo] = [p - pow(i, -1, p) for i in range(1, p)]
     arr[p - lo:p + 2 - lo] = p + 1, p
+    _, Permutation = _arrays()
     return Permutation(arr, lo)
 
 
@@ -218,6 +242,7 @@ def _g_image(ps, lo, hi):
     p = ps.p
     if hi < p + 2:
         raise PointOutOfDomain(p + 2, lo, hi)
+    np, Permutation = _arrays()
     arr = _mul_points(ps.alpha, p, lo, hi)
     shift = ps.kappa % 3
     arr[p - lo:p + 3 - lo] = p + (np.arange(3) + shift) % 3
@@ -320,18 +345,18 @@ def _agl(w, variant, with_extra_relator):
     def images():
         b_first = _mul_image(r, p, lo, hi)
         if variant == "AltAGL":
-            b_first = b_first * Permutation.from_cycles([(p + 1, p + 2)], lo, hi)
+            b_first = b_first * _cycles([(p + 1, p + 2)], lo, hi)
         first = {
             "a": _a_image(p, lo, hi),
             "b": b_first,
-            "z": Permutation.from_cycles([(p, p + 1, p + 2)], lo, hi),
+            "z": _cycles([(p, p + 1, p + 2)], lo, hi),
         }
         if with_extra_relator:
             return first
         second = {
             "a": _a_image(p, 1, p),
             "b": _mul_image(r, p, 1, p),
-            "z": Permutation.identity(1, p),
+            "z": _cycles([], 1, p),
         }
         return {t: ProductPair(first[t], second[t]) for t in ("a", "b", "z")}
 
@@ -364,7 +389,7 @@ def alt_p3(p, params=None):
     return Presentation(slp, "Alt", p + 3, "alt_p3", ps, (lo, hi), lambda: {
         "x": _x_image(p, lo, hi),
         "y": _a_image(p, lo, hi),
-        "z": Permutation.from_cycles([(p + 1, p + 2, p + 3)], lo, hi),
+        "z": _cycles([(p + 1, p + 2, p + 3)], lo, hi),
     })
 
 
@@ -485,6 +510,7 @@ def glue_map_image(p, k, kind, lo, hi):
     for x in (left, right):
         if not lo <= x <= hi:
             raise PointOutOfDomain(x, lo, hi)
+    np, Permutation = _arrays()
     arr = np.arange(lo, hi + 1, dtype=np.int64)
     t = np.arange(p - k + 2, dtype=np.int64)
     arr[left + t - lo] = right - t

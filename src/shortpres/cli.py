@@ -20,13 +20,17 @@ internal error: ..."), 141 stdout closed early (a reader such as head
 stopped; nothing more is printed); a batch exits
 with 1 if any degree failed, else 2 if any was refused.  An internal
 error stops the batch, whether it ran in this process or under --jobs.
+
+The array layer is entered only where a command needs it: verify is
+imported by the verify and falsify handlers, perm (and so numpy) by the
+--jobs path and by the first image built, which emit --format json reads.
+--help, params, stats and emit as slp or flat text never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import contextlib
 import functools
 import itertools
@@ -35,7 +39,7 @@ import math
 import os
 import sys
 
-from . import builders, verify
+from . import builders
 from .errors import (
     BadPrimeClass,
     DegreeTooLarge,
@@ -43,7 +47,6 @@ from .errors import (
     InternalInvariantViolation,
     UnsupportedDegree,
 )
-from .perm import _set_threads, _usable_cpus
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -172,9 +175,16 @@ class _Batch:
         each one it cannot.  With jobs > 1, up to that many worker
         processes (no more than the usable CPUs) run the tasks, with at
         most two per worker submitted and not yet yielded; each worker
-        splits its large gathers over its share of the usable CPUs."""
-        usable = _usable_cpus()
-        workers = min(jobs, usable)
+        splits its large gathers over its share of the usable CPUs.  Only
+        that path imports perm, and so numpy, and the process pool."""
+        workers = 1
+        if jobs > 1:
+            import concurrent.futures
+
+            from .perm import _set_threads, _usable_cpus
+
+            usable = _usable_cpus()
+            workers = min(jobs, usable)
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(
                     workers, initializer=_set_threads,
@@ -229,6 +239,8 @@ def _cmd_emit(args):
 
 
 def _verify_one(task):
+    from . import verify
+
     n, kind, depth, simplify = task
     pres = builders.presentation_for(n, kind, simplify=simplify)
     report = verify.verify_presentation(pres, depth=depth)
@@ -288,6 +300,8 @@ def _cmd_stats(args):
 
 
 def _cmd_falsify(args):
+    from . import verify
+
     p = args.p
     falsification = verify.Falsification(p)
     falsified = []  # one verdict per target that applies at p

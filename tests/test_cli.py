@@ -6,6 +6,7 @@ degree or size limit, 3 bad arguments, 4 internal error, 141 stdout
 closed early.
 """
 
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -375,14 +376,15 @@ class TestJobs:
 
     @pytest.fixture
     def pools(self, monkeypatch):
+        # cli imports both names on its --jobs path, from these modules
         made = []
 
         def make(*args, **kwargs):
             made.append(_FakePool(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", make)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
+        monkeypatch.setattr(perm, "_usable_cpus", lambda: 3)
         return made
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "-8", "two"])
@@ -406,7 +408,7 @@ class TestJobs:
     @pytest.mark.parametrize("usable", [2, 3, 8])
     def test_each_worker_gets_its_share_of_the_gather_threads(
             self, capsys, pools, monkeypatch, usable):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: usable)
+        monkeypatch.setattr(perm, "_usable_cpus", lambda: usable)
         for jobs in (2, 3, 5, 64):
             code, out, _ = run(capsys, "verify", "-n", "13..14", "--kind",
                                "alt", "--jobs", str(jobs))
@@ -420,7 +422,7 @@ class TestJobs:
 
     def test_one_usable_cpu_runs_in_this_process(self, capsys, pools,
                                                 monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(perm, "_usable_cpus", lambda: 1)
         code, out, _ = run(capsys, "verify", "-n", "13", "--jobs", "4")
         assert code == 0 and out.endswith(" OK\n")
         assert pools == []
@@ -646,6 +648,39 @@ def test_images_are_built_on_first_read(capsys, monkeypatch):
         assert (code, err) == (0, "") and out
     with pytest.raises(RuntimeError, match="images were built"):
         main(["verify", "-n", "17"])
+
+
+ARRAY_LAYER = ("numpy", "shortpres.perm", "shortpres.verify")
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (("--help",), ()),
+    (("emit", "-n", "17", "--kind", "sym"), ()),
+    (("emit", "-n", str(10**18), "--format", "flat"), ()),
+    (("params", "-n", "13..20", "--kind", "both"), ()),
+    (("stats", "-n", "51,1000", "--kind", "both"), ()),
+    (("emit", "-n", "17", "--format", "json"), ARRAY_LAYER[:2]),
+    (("verify", "-n", "13"), ARRAY_LAYER),
+    (("falsify", "--p", "11"), ARRAY_LAYER),
+])
+def test_only_the_commands_that_build_images_load_numpy(argv, loads):
+    """A fresh interpreter loads numpy and perm for the commands that read
+    images, and verify for those that check them; it loads none of them for
+    the commands that print words only."""
+    proc = run_python(
+        "import contextlib, io, sys\n"
+        "from shortpres.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"print(code, *(m for m in {ARRAY_LAYER!r} if m in sys.modules))\n",
+        *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert tuple(loaded) == loads
 
 
 class TestExitCodes:
