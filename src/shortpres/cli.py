@@ -69,8 +69,11 @@ def _parse_degrees(text):
     for part in text.split(","):
         part = part.strip()
         lo_s, dots, hi_s = part.partition("..")
-        lo = int(lo_s)
-        hi = int(hi_s) if dots else lo
+        try:
+            lo = int(lo_s)
+            hi = int(hi_s) if dots else lo
+        except ValueError:
+            raise ValueError(f"bad degree {part!r}") from None
         if hi < lo:
             raise ValueError(f"empty range {part!r}")
         spans.append(range(lo, hi + 1))

@@ -242,7 +242,7 @@ def require_affine_prime(p, three_mod_four, who):
     with three_mod_four also p = 3 (mod 4), where -1 is not a square and
     negation an odd permutation of F_p^* (AltAGL2, the transposition word)."""
     if p <= 3 or (three_mod_four and p % 4 != 3) or not is_prime(p):
-        need = "p = 3 (mod 4)" if three_mod_four else "p > 3"
+        need = "p = 3 (mod 4)" if three_mod_four and p > 3 else "p > 3"
         raise BadPrimeClass(f"{who} targets primes {need}, got {p}")
 
 

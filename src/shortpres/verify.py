@@ -151,7 +151,6 @@ def check_relators(pres):
             "cycle_type": cycle_type,
         })
         del val  # free it before the next relator is evaluated
-    entries.sort(key=lambda entry: entry["index"])
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(pres.degree, pres.kind, pres.case, entries,
                               millis=millis)

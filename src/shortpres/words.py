@@ -19,14 +19,15 @@ Conventions (documented once, used everywhere):
   * evaluation applies the left factor first, matching perm.Permutation.
 
 Evaluation compiles the words once into a list of distinct steps, so that a
-subword met anywhere in the program is one step, and runs them in one loop.
-Powers of one base share the binary prefixes of their exponents: x^(p-1)
-is one squaring of x^((p-1)/2), and x^122 and x^123 continue from x^61.
-evaluate_slp returns the value of every generator and definition next to the
-relator values.  relator_values streams (index, value) per relator: each
-relator runs as soon as the names it reads exist, a definition no relator
-reads is never run, and every value is freed after its last reader, so a
-relator check holds only the values still to be read.
+subword met anywhere in the program is one step, and runs them in one
+post-order.  Powers of one base share the binary prefixes of their
+exponents: x^(p-1) is one squaring of x^((p-1)/2), and x^122 and x^123
+continue from x^61.  evaluate_slp returns the value of every generator and
+definition next to the relator values.  relator_values streams (index,
+value) per relator, in index order: each relator runs the steps it reads
+that no earlier relator ran, a definition no relator reads is never run,
+and every value is freed at its last read, so a relator check holds only
+the values still to be read.
 """
 
 from __future__ import annotations
@@ -508,7 +509,6 @@ _OPS = {
     "inv": lambda _, x: x.inverse(),
     "mul": lambda _, x, y: x * y,
     "conj": lambda _, x, y: x.conjugate(y),
-    "out": lambda _, x: x,
 }
 
 
@@ -517,11 +517,11 @@ class _Program:
 
     A step is (op, param, *operands), its operands given by step number:
     ("name", name) reads env, ("id", None, x) is the identity of x's group,
-    ("pow", e, x) is x^e for e > 1, ("inv", None, x), ("mul", None, x, y),
-    ("conj", None, x, y) is x^y, and ("out", key, x) yields (key, x).
-    Equal subwords anywhere in the program compile to one step, and a
-    defined name stands for its word's step.  Before a run, the powers of
-    each base share their exponents' common binary prefixes (_schedule),
+    ("pow", e, x) is x^e for e > 1, ("inv", None, x), ("mul", None, x, y)
+    and ("conj", None, x, y) is x^y.  Equal subwords anywhere in the program
+    compile to one step, and a defined name stands for its word's step.
+    outputs lists (key, step) per value to yield.  Before a run, the powers
+    of each base share their exponents' common binary prefixes (_share),
     which adds one kind of step: ("from", bits, x, y) is x^e from y = x^f,
     bits being e's binary digits after f's.
     """
@@ -530,9 +530,10 @@ class _Program:
         self.env = env
         self.ops = dict(_OPS, name=env.__getitem__)
         self.steps = {}  # step -> its number, in compile order
-        self.live = {}  # step -> value, while a reader of it is still to run
+        self.live = {}  # step -> value, while a read of it is still to come
         self.powers = {}  # base step -> {exponent: its "pow" step}
         self.names = {name: self._step("name", name) for name in env}
+        self.outputs = []  # (key, step), in the order run yields them
 
     def _step(self, *step):
         return self.steps.setdefault(step, len(self.steps))
@@ -572,62 +573,60 @@ class _Program:
 
     def slp(self, slp, definitions):
         """Compile slp, its generators read from env: an output per
-        definition if definitions is true, and one per relator, keyed by its
-        index and compiled straight after the last definition it reads."""
+        definition if definitions is true, then one per relator, keyed by
+        its index."""
         for name in slp.generators:
             if name not in self.env:
                 raise UnboundSymbol(name)
-        place = {name: i for i, (name, _) in enumerate(slp.definitions, 1)}
-        due = [[] for _ in range(len(slp.definitions) + 1)]
-        for i, w in enumerate(slp.relators):
-            due[max((place.get(s, 0) for s in _free_symbols(w)), default=0)].append(i)
-        for i in due[0]:
-            self._step("out", i, self.word(slp.relators[i]))
-        for (name, w), ready in zip(slp.definitions, due[1:]):
+        for name, w in slp.definitions:
             self.names[name] = self.word(w)
             if definitions:
-                self._step("out", name, self.names[name])
-            for i in ready:
-                self._step("out", i, self.word(slp.relators[i]))
+                self.outputs.append((name, self.names[name]))
+        self.outputs += [(i, self.word(w)) for i, w in enumerate(slp.relators)]
 
-    def _schedule(self):
-        """The steps, with the powers of each base sharing their prefixes
-        (_share), and the order to run them in: a step that a power reads
-        before its own place runs just before that power."""
+    def _plan(self):
+        """The steps, the powers of each base sharing their prefixes
+        (_share); per output, the steps to run before it yields; and the
+        reads of each of those steps, by later steps and by outputs.
+
+        An output runs the steps it reads that no earlier output ran, in one
+        iterative post-order that takes a step's operands lowest step number
+        first, the order in which the words were written."""
         steps = list(self.steps)
-        early = []  # (place, bit length, step): step runs just before place
         for x, pows in self.powers.items():
-            if len(pows) > 1:
-                early += _share(x, pows, steps)
-        if not early:
-            return steps, range(len(steps))
-        order = list(range(len(steps)))
-        for *_, s in early:
-            order.remove(s)
-        for place, _, s in sorted(early):  # a prefix before its extensions
-            order.insert(order.index(place), s)
-        return steps, order
+            _share(x, pows, steps)
+        reads = {}  # placed step -> its reads
+        plan = []
+        for key, s in self.outputs:
+            order, stack = [], [s]
+            while stack:
+                t = stack.pop()
+                if t < 0:  # ~t, whose operands are all placed
+                    order.append(~t)
+                    reads[~t] = 0
+                    for k in steps[~t][2:]:
+                        reads[k] += 1
+                elif t not in reads:
+                    stack.append(~t)
+                    stack += sorted(steps[t][2:], reverse=True)
+            reads[s] += 1
+            plan.append((order, key, s))
+        return steps, plan, reads
 
     def run(self):
-        """Yield (key, value) at each output step, in order, running only the
-        steps an output needs; a value leaves live after its last reader."""
-        steps, order = self._schedule()
-        last = {}  # step -> the step that reads it last
-        for s in reversed(order):
-            if s in last or steps[s][0] == "out":
-                for k in steps[s][2:]:
-                    last.setdefault(k, s)
-        gone = {}
-        for k, s in last.items():
-            gone.setdefault(s, []).append(k)
-        for s in order:
-            op, param, *xs = steps[s]
-            if s in last or op == "out":
-                self.live[s] = self.ops[op](param, *[self.live[k] for k in xs])
-                for k in gone.get(s, ()):
-                    del self.live[k]
-                if op == "out":
-                    yield param, self.live.pop(s)
+        """Yield (key, value) per output, in order, running each step an
+        output needs once; a value leaves live at its last read."""
+        steps, plan, reads = self._plan()
+        for order, key, s in plan:
+            for t in order:
+                op, param, *xs = steps[t]
+                self.live[t] = self.ops[op](param, *[self.live[k] for k in xs])
+                for k in xs:
+                    reads[k] -= 1
+                    if not reads[k]:
+                        del self.live[k]
+            reads[s] -= 1
+            yield key, self.live[s] if reads[s] else self.live.pop(s)
 
 
 def _share(x, pows, steps):
@@ -639,26 +638,19 @@ def _share(x, pows, steps):
     order; one that is no exponent becomes a new step, appended to steps.
     Each power continues from its longest shared prefix through e's
     remaining digits (a "from" step); a power with none stays one "pow"
-    step.  Returns (place, bit length, step) for each step that must run
-    before its own place: just before place, the first power that reads it,
-    directly or through a longer prefix."""
+    step."""
     ranked = sorted(pows, key=bin)
     shared = {_common_prefix(a, b) for a, b in zip(ranked, ranked[1:])} - {1}
-    if not shared:
-        return []
     node = dict(pows)  # exponent or shared prefix -> its step
     for f in shared.difference(pows):
         node[f] = len(steps)
         steps.append(("pow", f, x))
-    place = dict(node)
-    for e in sorted(node, key=int.bit_length, reverse=True):  # readers first
+    for e, s in node.items():
         f = e >> 1
         while f > 1 and f not in shared:
             f >>= 1
         if f > 1:
-            steps[node[e]] = ("from", bin(e)[2 + f.bit_length():], x, node[f])
-            place[f] = min(place[f], place[e])
-    return [(place[e], e.bit_length(), s) for e, s in node.items() if place[e] != s]
+            steps[s] = ("from", bin(e)[2 + f.bit_length():], x, node[f])
 
 
 def _common_prefix(a, b):
@@ -671,7 +663,7 @@ def _common_prefix(a, b):
 def evaluate(word, env):
     """Evaluate a word in env (name -> element).  Left factor applies first."""
     program = _Program(env)
-    program._step("out", None, program.word(word))
+    program.outputs.append((None, program.word(word)))
     return next(program.run())[1]
 
 
@@ -691,13 +683,14 @@ def evaluate_slp(slp, images):
 
 
 def relator_values(slp, images):
-    """Yield (index, value) for each relator of slp, evaluated at images.
+    """Yield (index, value) for each relator of slp, evaluated at images,
+    in index order.
 
-    A relator runs straight after the last definition it reads, a
+    A relator runs the steps it reads that no earlier relator ran, a
     definition no relator reads is not evaluated, and every value is freed
-    after its last use, so only the values still to be read stay alive.
+    at its last read, so only the values still to be read stay alive.
     Each relator is evaluated in full, exactly as evaluate_slp evaluates
-    it; only the order differs.
+    it.
     """
     program = _Program(images)
     program.slp(slp, definitions=False)

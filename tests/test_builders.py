@@ -193,6 +193,8 @@ class TestAglExamples:
             agl_examples(11, "NoSuchVariant")
         with pytest.raises(BadPrimeClass):
             agl_examples(13, "AltAGL2")  # needs p = 3 (mod 4)
+        with pytest.raises(BadPrimeClass, match=r"^AltAGL2 targets primes p > 3, got 3$"):
+            agl_examples(3, "AltAGL2")  # 3 = 3 (mod 4), but not above 3
         with pytest.raises(BadPrimeClass):
             agl_examples(9, "AltAGL")
         assert all_identity(agl_examples(13, "SymAGL"))

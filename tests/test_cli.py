@@ -501,6 +501,14 @@ class TestFalsify:
         assert code == 3
         assert "no falsification target applies" in err
 
+    def test_p_3_is_refused_for_being_too_small(self, capsys):
+        # 3 = 3 (mod 4): the condition the transposition word misses is p > 3
+        code, out, err = run(capsys, "falsify", "--p", "3")
+        assert code == 3
+        assert "falsify:TranspositionWord: skipped (the transposition word " \
+            "targets primes p > 3, got 3)\n" in out
+        assert err == "shortpres: error: no falsification target applies at p=3\n"
+
     @pytest.mark.parametrize("p", [35, 119])
     def test_composite_of_the_contrast_class_is_an_argument_error(self, capsys, p):
         # p = 11 (mod 12) but not prime: every target is skipped, and so is
@@ -701,9 +709,11 @@ class TestExitCodes:
         assert out.startswith("# degree: 13\n")
 
     def test_bad_degree_string_is_exit_3(self, capsys):
-        code, _, err = run(capsys, "emit", "-n", "13..x")
-        assert code == 3
-        assert "error" in err
+        for text, part in (("13..x", "13..x"), ("13..", "13.."), ("13,,14", ""),
+                           ("13, x ,14", "x")):
+            code, _, err = run(capsys, "emit", "-n", text)
+            assert code == 3
+            assert err == f"shortpres: error: bad degree {part!r}\n"
 
     def test_empty_range_is_exit_3(self, capsys):
         code, _, _ = run(capsys, "emit", "-n", "15..13")

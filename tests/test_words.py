@@ -481,8 +481,7 @@ def test_cached_evaluation_matches_plain_evaluation(data):
         plain[name] = plain_evaluate(w, plain, identity)
         assert values[name] == plain[name]
     assert rel_values == [plain_evaluate(w, plain, identity) for w in relators]
-    assert sorted(relator_values(slp, env), key=lambda iv: iv[0]) == list(
-        enumerate(rel_values))
+    assert list(relator_values(slp, env)) == list(enumerate(rel_values))
 
 
 class TestCachedEvaluator:
@@ -497,6 +496,7 @@ class TestCachedEvaluator:
         assert all(program.live == {} for program in made)
 
     def test_stream_runs_each_relator_after_the_names_it_reads(self):
+        """The stream keeps index order, whichever names a relator reads."""
         slp = Slp.from_text(
             "generators: a b\n"
             "c := a b\n"
@@ -507,8 +507,8 @@ class TestCachedEvaluator:
             "relator: b^-1 a^-1 c\n")
         env = {"a": parse_cycles("(1,2)", 1, 3), "b": parse_cycles("(2,3)", 1, 3)}
         got = list(relator_values(slp, env))
-        assert [i for i, _ in got] == [1, 2, 3, 0]
-        assert dict(got) == dict(enumerate(evaluate_slp(slp, env)[1]))
+        assert [i for i, _ in got] == [0, 1, 2, 3]
+        assert got == list(enumerate(evaluate_slp(slp, env)[1]))
 
     def test_stream_frees_each_name_after_its_last_read(self, monkeypatch):
         made = record_programs(monkeypatch)
@@ -528,6 +528,48 @@ class TestCachedEvaluator:
         assert next(stream)[0] == 1
         assert program.live == {}
         assert set(env) == {"a", "b"}  # the caller's mapping is left alone
+
+    def test_a_definition_only_a_late_relator_reads_waits_for_it(self, monkeypatch):
+        made = record_programs(monkeypatch)
+        slp = Slp.from_text(
+            "generators: a b\n"
+            "c := a^3\n"
+            "d := b^2\n"
+            "relator: d a\n"
+            "relator: d b\n"
+            "relator: c d\n")
+        env = {"a": parse_cycles("(1,2,3,4)", 1, 4), "b": parse_cycles("(2,3)", 1, 4)}
+        stream = relator_values(slp, env)
+        for i in (0, 1):
+            assert next(stream)[0] == i
+            (program,) = made
+            assert program.names["c"] not in program.live
+        assert next(stream) == (2, env["a"] ** 3 * env["b"] ** 2)
+        assert program.live == {}
+
+    def test_a_step_reads_its_operands_in_compile_order(self):
+        """d c computes c, defined first, before d."""
+        slp = Slp.from_text(
+            "generators: a b\n"
+            "c := a b\n"
+            "d := b a^2\n"
+            "relator: d c\n")
+        program = words._Program(dict.fromkeys(slp.generators))
+        program.slp(slp, definitions=False)
+        order = _run_order(program)[1]
+        assert order.index(program.names["c"]) < order.index(program.names["d"])
+        env = {"a": parse_cycles("(1,2,3)", 1, 3), "b": parse_cycles("(2,3)", 1, 3)}
+        d, c = env["b"] * env["a"] ** 2, env["a"] * env["b"]
+        assert list(relator_values(slp, env)) == [(0, d * c)]
+
+    def test_a_relator_of_5000_factors_streams_without_recursion(self):
+        """Running is iterative: a relator of 5,000 alternating factors is
+        a chain of 4,999 products, deeper than the recursion limit."""
+        word = GroupWord(tuple(Factor(Sym("ab"[i % 2]), 1) for i in range(5000)))
+        slp = Slp(("a", "b"), (), (word,))
+        env = {"a": parse_cycles("(1,2,3)", 1, 3), "b": parse_cycles("(2,3)", 1, 3)}
+        assert list(relator_values(slp, env)) == [(0, (env["a"] * env["b"]) ** 2500)]
+        assert evaluate(word, env) == (env["a"] * env["b"]) ** 2500
 
     def test_a_power_and_its_inverse_cost_one_power(self, monkeypatch):
         env = {"a": parse_cycles("(1,2,3,4,5,6,7)", 1, 7),
@@ -632,6 +674,12 @@ def test_shared_powers_agree_when_every_window_is_split():
         test_shared_powers_equal_plain_powers()
 
 
+def _run_order(program):
+    """The steps of a compiled program and every step it runs, in order."""
+    steps, plan, _ = program._plan()
+    return steps, [t for order, _, _ in plan for t in order]
+
+
 def _power_gathers(step):
     """The squarings and products by the base that a power step runs."""
     op, param = step[:2]
@@ -647,7 +695,7 @@ class TestSharedPowers:
         slp = Slp.from_text("generators: x\nrelator: x^122\nrelator: x^-123\n")
         program = words._Program({"x": None})
         program.slp(slp, definitions=False)
-        steps, order = program._schedule()
+        steps, order = _run_order(program)
         x = program.names["x"]
         prefix = steps.index(("pow", 61, x))
         readers = [steps.index(("from", bits, x, prefix)) for bits in "01"]
@@ -659,7 +707,7 @@ class TestSharedPowers:
         slp = Slp.from_text("generators: a\nrelator: a^11\nrelator: a^5\n")
         program = words._Program({"a": None})
         program.slp(slp, definitions=False)
-        steps, order = program._schedule()
+        steps, order = _run_order(program)
         five = program.steps["pow", 5, program.names["a"]]
         eleven = program.steps["pow", 11, program.names["a"]]
         assert steps[eleven] == ("from", "1", program.names["a"], five)
@@ -672,7 +720,7 @@ class TestSharedPowers:
         slp = presentation_for(1500001, "Sym").slp
         program = words._Program(dict.fromkeys(slp.generators))
         program.slp(slp, definitions=False)
-        steps, _ = program._schedule()
+        steps, _ = _run_order(program)
         assert sum(map(_power_gathers, program.steps)) == 349
         assert sum(map(_power_gathers, steps)) <= 265
 
