@@ -594,21 +594,24 @@ class _Program:
         first, the order in which the words were written."""
         steps = list(self.steps)
         for x, pows in self.powers.items():
-            _share(x, pows, steps)
-        reads = {}  # placed step -> its reads
+            if len(pows) > 1:
+                _share(x, pows, steps)
+        reads = [None] * len(steps)  # step -> its reads, None until placed
         plan = []
         for key, s in self.outputs:
             order, stack = [], [s]
             while stack:
                 t = stack.pop()
                 if t < 0:  # ~t, whose operands are all placed
-                    order.append(~t)
-                    reads[~t] = 0
-                    for k in steps[~t][2:]:
+                    t = ~t
+                    order.append(t)
+                    reads[t] = 0
+                    for k in steps[t][2:]:
                         reads[k] += 1
-                elif t not in reads:
+                elif reads[t] is None:
+                    xs = steps[t][2:]  # at most two, pushed highest first
                     stack.append(~t)
-                    stack += sorted(steps[t][2:], reverse=True)
+                    stack += xs if len(xs) < 2 or xs[0] > xs[1] else xs[::-1]
             reads[s] += 1
             plan.append((order, key, s))
         return steps, plan, reads
@@ -617,16 +620,17 @@ class _Program:
         """Yield (key, value) per output, in order, running each step an
         output needs once; a value leaves live at its last read."""
         steps, plan, reads = self._plan()
+        live, ops = self.live, self.ops
         for order, key, s in plan:
             for t in order:
                 op, param, *xs = steps[t]
-                self.live[t] = self.ops[op](param, *[self.live[k] for k in xs])
+                live[t] = ops[op](param, *[live[k] for k in xs])
                 for k in xs:
                     reads[k] -= 1
                     if not reads[k]:
-                        del self.live[k]
+                        del live[k]
             reads[s] -= 1
-            yield key, self.live[s] if reads[s] else self.live.pop(s)
+            yield key, live[s] if reads[s] else live.pop(s)
 
 
 def _share(x, pows, steps):
