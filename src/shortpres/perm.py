@@ -29,11 +29,11 @@ reads in place; x^e then costs only the digits of e after those of f.
 is built each time it is read.  Absolute points appear only at the edges:
 the constructor, __call__, cycles and __str__.
 
-Every numeric question about cycles (cycle_type, order, the certificate
-of `verify`) reads `cycle_minima`, which are window-relative and leave out
-the fixed points outside the window.  The walk `cycles` serves text only.
+Every numeric question about cycles (cycle_type, order, `transitive`)
+reads `cycle_minima`: window-relative, without the fixed points outside
+the window.  No other module reads a window; `cycles` serves text only.
 
-Every gather and scatter of a product, power, inverse or conjugate goes
+Every gather and scatter but the serial scatter-min of `transitive` goes
 through `_take` or `_put`.  From _SPLIT points on, these cut the index
 array into a few contiguous chunks per usable CPU: each chunk reads all
 of the source and writes its own part of the result (a scatter's indices
@@ -55,6 +55,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import math
+import numbers
 import os
 import re
 import threading
@@ -223,6 +224,21 @@ def _check_degree(degree):
             "points that int32 offsets address")
 
 
+def _integer(value, what):
+    """value as an int; DomainMismatch if it is not one, so that 1.5 is
+    never read as 1."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainMismatch(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _point(x, lo, hi):
+    """x as an int, or PointOutOfDomain: outside [lo, hi] or not an integer."""
+    if not isinstance(x, numbers.Integral) or not lo <= x <= hi:
+        raise PointOutOfDomain(x, lo, hi)
+    return int(x)
+
+
 def _blocks(first, stop, size):
     """[first, stop) rounded out to whole blocks within [0, size)."""
     return first // _BLOCK * _BLOCK, min(-(-stop // _BLOCK) * _BLOCK, size)
@@ -279,15 +295,17 @@ class Permutation:
         """Wrap the absolute images of the points lo, lo+1, ...; they must
         be a bijection of [lo, lo + len(images) - 1], of at most MAX_DEGREE
         points."""
-        arr = np.asarray(images, dtype=np.int64)
+        arr = np.asarray(images)
         if arr.ndim != 1:
             raise DomainMismatch("images must be a flat sequence")
         if arr.size == 0:
             raise DomainMismatch("empty image list")
+        if arr.dtype.kind not in "iu":
+            raise DomainMismatch(f"images must be integers, not {arr.dtype}")
         _check_degree(arr.size)
-        lo = int(lo)
+        lo = _integer(lo, "lo")
         hi = lo + arr.size - 1
-        shifted = arr - lo
+        shifted = arr.astype(np.int64, copy=False) - lo
         if (
             shifted.min() < 0
             or shifted.max() >= arr.size
@@ -330,6 +348,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, lo, hi):
+        lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
         if hi < lo:
             raise DomainMismatch(f"empty domain [{lo}, {hi}]")
         _check_degree(hi - lo + 1)
@@ -344,21 +363,21 @@ class Permutation:
         Each cycle is an iterable of points.  A point used twice (within
         or across cycles) raises OverlappingCycles; a point outside
         [lo, hi] raises PointOutOfDomain, and a domain of more than
-        MAX_DEGREE points DomainMismatch.
+        MAX_DEGREE points DomainMismatch, as do bounds that are not
+        integers; a point that is not an integer is out of the domain.
         """
+        ident = cls.identity(lo, hi)
+        lo, hi = ident.lo, ident.hi
         moving = []
         seen = set()
         for cyc in cycles:
-            pts = list(cyc)
+            pts = [_point(x, lo, hi) for x in cyc]
             for x in pts:
-                if not lo <= x <= hi:
-                    raise PointOutOfDomain(x, lo, hi)
                 if x in seen:
                     raise OverlappingCycles(x)
                 seen.add(x)
             if len(pts) > 1:
                 moving.append(pts)
-        ident = cls.identity(lo, hi)
         if not moving:
             return ident
         start, stop = _blocks(min(min(pts) for pts in moving) - lo,
@@ -440,12 +459,11 @@ class Permutation:
         return self._like(arr, start)
 
     def __call__(self, point):
-        if not self.lo <= point <= self.hi:
-            raise PointOutOfDomain(point, self.lo, self.hi)
+        point = _point(point, self.lo, self.hi)
         i = point - self.lo - self.start
         if 0 <= i < self.win.size:
             return int(self.win[i]) + self.lo + self.start
-        return int(point)
+        return point
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -532,6 +550,33 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.lo},{self.hi}] {self}"
+
+
+def transitive(perms, minima):
+    """Whether permutations of one domain, given their cycle_minima, act
+    transitively: each round gives every cycle its least label (a serial
+    scatter-min in _PIECE-point chunks; threads would race on a minimum),
+    then jumps labels to their labels' labels, in two buffers by turns, so
+    every orbit ends labelled by its least point."""
+    label = _arange(perms[0].degree)
+    spare = np.empty_like(label)
+    changed = True
+    while changed:
+        changed = False
+        for g, least in zip(perms, minima):
+            part = label[g.start:g.start + least.size]
+            low = part.copy()
+            for s in range(0, least.size, _PIECE):
+                np.minimum.at(low, least[s:s + _PIECE], part[s:s + _PIECE])
+            low = _take(low, least, spare[:least.size])  # never above part
+            if not np.array_equal(low, part):
+                part[:] = low
+                _take(label, label, spare)
+                while not np.array_equal(spare, label):
+                    label, spare = spare, label
+                    _take(label, label, spare)
+                changed = True
+    return not label.any()
 
 
 def parse_cycles(text, lo, hi):

@@ -5,16 +5,17 @@ generator images and reports cycle types.  certify_order returns the exact
 group order as n!/index, n the number of points and index the number the
 proof decides, so n! is formed only when int() asks for it.  It is proved
 in one of two ways.  The Jordan certificate, O(n) in numpy at any degree,
-reads each generator's window cycle minima (Permutation.cycle_minima) and
-shows that the group is transitive and holds a prime cycle that makes it
-primitive and, by Jordan's theorems, contains A_n; the parities of the
-generators then decide between n!/2 and n!.  Where no such witness is
-found, a deterministic Schreier-Sims construction (no randomization, at
-most 64 points) certifies the order by one of two facts: every Schreier
-generator of the resulting chain has been sifted to the identity, which by
-Schreier's lemma pins the order exactly; or the product of the orbit
-lengths, a lower bound on the order, has reached the parity bound n! (or
-n!/2 when every generator is even), an upper bound on it.
+reads each generator's cycle minima (Permutation.cycle_minima), from which
+perm.transitive shows that the group is transitive, and finds a prime
+cycle that makes it primitive and, by Jordan's theorems, makes it contain
+A_n; the parities of the generators then decide between n!/2 and n!.
+Where no such witness is found, a deterministic Schreier-Sims construction
+(no randomization, at most 64 points) certifies the order by one of two
+facts: every Schreier generator of the resulting chain has been sifted to
+the identity, which by Schreier's lemma pins the order exactly; or the
+product of the orbit lengths, a lower bound on the order, has reached the
+parity bound n! (or n!/2 when every generator is even), an upper bound on
+it.
 
 Falsification re-evaluates the uncorrected variants of the constructions
 (wrong special-linear generator signs, wrong conjugating order in the
@@ -31,8 +32,6 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from . import builders, numth, sl2
 from .errors import (
     BadPrimeClass,
@@ -41,7 +40,7 @@ from .errors import (
     EnumerationTooLarge,
     InternalInvariantViolation,
 )
-from .perm import Permutation, cycle_lengths
+from .perm import Permutation, cycle_lengths, transitive
 from .words import (
     ProductPair,
     Slp,
@@ -273,32 +272,6 @@ def _chain_order(gens, bound):
 # Groups, Thm 13.9), or holding a 3-cycle (Thm 13.3), contains A_n.
 
 
-def _transitive(n, windows):
-    """Whether permutations of n points act transitively, given each one's
-    window as (start, window-relative cycle minima).  Each round gives every
-    cycle of every generator the least label on it (a scatter-min onto the
-    cycle minima, within the window), then jumps labels to their own
-    labels; labels are points of the same orbit, never above their point,
-    so a round that changes nothing leaves each orbit its least point."""
-    comp = np.arange(n, dtype=np.int32)
-    changed = True
-    while changed:
-        changed = False
-        for start, least in windows:
-            part = comp[start:start + least.size]
-            low = part.copy()
-            np.minimum.at(low, least, part)
-            low = low[least]  # one buffer for the new labels, not two
-            np.minimum(part, low, out=low)
-            if not np.array_equal(low, part):
-                part[:] = low
-                jumped = comp[comp]
-                while not np.array_equal(jumped, comp):
-                    comp, jumped = jumped, jumped[jumped]
-                changed = True
-    return not comp.any()
-
-
 def _three_cycle(gens, lengths):
     """Whether some generator x has one cycle of length divisible by 3, of
     length 3, so that x^m, m the lcm of its other cycle lengths, is a
@@ -312,14 +285,14 @@ def _three_cycle(gens, lengths):
     return False
 
 
-def _jordan(n, gens, windows, lengths):
+def _jordan(n, gens, minima, lengths):
     """The certificate that <gens> contains A_n, or None: a generator that is
     one q-cycle, q prime and 2q > n, in a transitive group, with q <= n - 3
     or beside a 3-cycle."""
     primes = [int(lens[0]) for lens in lengths
               if lens.size == 1 and 2 * lens[0] > n
               and numth.is_prime(int(lens[0]))]
-    if not primes or not _transitive(n, windows):
+    if not primes or not transitive(gens, minima):
         return None
     small = [q for q in primes if q <= n - 3]
     if small:
@@ -361,10 +334,10 @@ def certify_order(gens):
         if (g.lo, g.hi) != (lo, hi):
             raise DomainMismatch("generators act on different point ranges")
     n = hi - lo + 1
-    windows = [(g.start, g.cycle_minima()) for g in gens]
-    lengths = [cycle_lengths(least) for _, least in windows]
+    minima = [g.cycle_minima() for g in gens]
+    lengths = [cycle_lengths(least) for least in minima]
     index = 1 if any((lens.sum() - lens.size) % 2 for lens in lengths) else 2
-    certificate = _jordan(n, gens, windows, lengths)
+    certificate = _jordan(n, gens, minima, lengths)
     if certificate is None:
         if n > _MAX_POINTS:
             raise EnumerationTooLarge(

@@ -81,6 +81,33 @@ class TestConstruction:
             with pytest.raises(DomainMismatch, match="limit of 5 points"):
                 Permutation(np.arange(1, 7))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Permutation([2.9, 1.2], lo=1),
+        lambda: Permutation(["2", "1"], lo=1),
+        lambda: Permutation([True, False], lo=0),
+        lambda: Permutation([2, 1], lo=1.5),
+        lambda: Permutation.identity(1, 4.0),
+        lambda: Permutation.from_cycles([(1, 2)], 1.5, 3),
+    ], ids=["float images", "string images", "bool images", "float lo",
+            "float hi", "float bound of from_cycles"])
+    def test_input_that_is_not_integer_is_refused(self, build):
+        with pytest.raises(DomainMismatch, match="integer"):
+            build()
+
+    def test_a_point_that_is_not_an_integer_is_out_of_the_domain(self):
+        for point in (1.0, 1.5, "1"):
+            with pytest.raises(PointOutOfDomain):
+                Permutation.from_cycles([(point, 2)], 1, 3)
+            with pytest.raises(PointOutOfDomain):
+                P("(1,2)")(point)
+
+    def test_numpy_integers_are_integers(self):
+        g = Permutation.from_cycles([(np.int64(1), np.int32(2))], np.int64(1), 3)
+        assert g == P("(1,2)", hi=3) and g(np.int64(1)) == 2 and g(3) == 3
+        assert type(g(np.int64(3))) is int
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            assert Permutation(np.array([2, 1, 3], dtype), np.int16(1)) == g
+
     def test_a_window_that_is_not_int32_is_refused(self):
         with pytest.raises(InternalInvariantViolation, match="dtype int64"):
             Permutation.identity(1, 6)._like(np.array([1, 0], np.int64), 0)
@@ -372,6 +399,71 @@ def test_split_windows_agree_with_the_dense_reference():
     with split_from(0, 3):
         test_windows_agree_with_the_dense_reference()
         assert perm._pool is not None
+
+
+@st.composite
+def _generators(draw):
+    """One to three permutations of one domain, each on an interval of its
+    own, which is all of one cycle or any permutation of it: above 64
+    points their windows overlap, nest or are disjoint, and the group they
+    make may be transitive or not."""
+    lo = draw(st.integers(-6, 6))
+    n = draw(st.integers(1, 200))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(first + 1, n))
+        img = np.arange(n)
+        if draw(st.booleans()):
+            img[first:stop] = np.roll(img[first:stop], -1)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            img[first:stop] = first + rng.permutation(stop - first)
+        gens.append(Permutation(img + lo, lo))
+    return gens
+
+
+def _orbit_of_the_first_point(gens):
+    images = [g.images.tolist() for g in gens]
+    orbit, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for img in images:
+            if img[x] not in orbit:
+                orbit.add(img[x])
+                todo.append(img[x])
+    return orbit
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(_generators())
+def test_transitive_agrees_with_the_orbit(gens):
+    minima = [g.cycle_minima() for g in gens]
+    orbit = _orbit_of_the_first_point(gens)
+    assert perm.transitive(gens, minima) == (len(orbit) == gens[0].degree)
+
+
+def test_split_transitive_agrees_with_the_orbit():
+    """The property above with every gather split among three threads and
+    every chunk, the scatter-min's too, of at most five points."""
+    with split_from(0, 3), mock.patch.object(perm, "_PIECE", 5):
+        test_transitive_agrees_with_the_orbit()
+        assert perm._pool is not None
+
+
+def test_transitive_on_disjoint_and_joined_windows():
+    def transitive(*cycle_lists, hi):
+        gens = [Permutation.from_cycles(c, 1, hi) for c in cycle_lists]
+        return perm.transitive(gens, [g.cycle_minima() for g in gens])
+
+    assert transitive([], hi=1)  # one point, an empty window
+    assert transitive([(1, 2), (3, 4)], [(2, 3)], hi=4)
+    assert not transitive([(1, 2)], [(3, 4)], hi=4)
+    low, high = tuple(range(1, 449)), tuple(range(449, 1001))
+    assert not transitive([low], [high], hi=1000)  # windows [0, 448), [448, 1000)
+    assert transitive([low], [high], [(448, 449)], hi=1000)
+    assert not transitive([low + high[:-1]], hi=1000)  # 1000 is fixed
 
 
 def test_split_is_used_from_the_threshold_on():
