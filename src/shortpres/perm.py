@@ -29,9 +29,9 @@ reads in place; x^e then costs only the digits of e after those of f.
 is built each time it is read.  Absolute points appear only at the edges:
 the constructor, __call__, cycles and __str__.
 
-Every numeric question about cycles (cycle_type, order, `transitive`)
-reads `cycle_minima`: window-relative, without the fixed points outside
-the window.  No other module reads a window; `cycles` serves text only.
+Every cycle question (cycle_type, order, `transitive`, the text of
+`cycles`) reads `cycle_minima`: window-relative, without the fixed
+points outside the window.  No other module reads a window.
 
 Every gather and scatter but the serial scatter-min of `transitive` goes
 through `_take` or `_put`.  From _SPLIT points on, these cut the index
@@ -486,34 +486,32 @@ class Permutation:
     def identity_like(self):
         return Permutation.identity(self.lo, self.hi)
 
-    def _moved(self):
-        """Offsets within the window of the points self moves, ascending."""
-        return np.flatnonzero(self.win != _arange(self.win.size))
-
     def cycles(self):
         """Canonical cycle decomposition, for text: fixed points dropped,
         each cycle starting at its least point, cycles sorted by least
-        point.  A walk that comes back to a point other than its start
-        raises InternalInvariantViolation: the window is not a bijection."""
-        img = self.win
+        point.  The starts are the moved offsets that are their own cycle
+        minima, and each cycle is walked once from its start.  A step onto
+        a point of another cycle, or a moved point on no cycle, raises
+        InternalInvariantViolation: the window is not a bijection."""
+        img, least = self.win, self.cycle_minima()
+        offsets = _arange(img.size)
+        moved = img != offsets
         base = self.lo + self.start
-        seen = set()
         out = []
-        for first in self._moved().tolist():
-            if first in seen:
-                continue
+        for first in np.flatnonzero(moved & (least == offsets)).tolist():
             cyc = [first]
-            seen.add(first)
-            nxt = int(img[first])
+            nxt = img.item(first)
             while nxt != first:
-                if nxt in seen:
+                if least.item(nxt) != first:
                     raise InternalInvariantViolation(
                         f"point {nxt + base} is reached twice: the window is "
                         "not a bijection")
                 cyc.append(nxt)
-                seen.add(nxt)
-                nxt = int(img[nxt])
+                nxt = img.item(nxt)
             out.append(tuple(x + base for x in cyc))
+        if sum(map(len, out)) != np.count_nonzero(moved):
+            raise InternalInvariantViolation(
+                "a moved point is on no cycle: the window is not a bijection")
         return out
 
     def cycle_type(self):
@@ -557,7 +555,8 @@ def transitive(perms, minima):
     transitively: each round gives every cycle its least label (a serial
     scatter-min in _PIECE-point chunks; threads would race on a minimum),
     then jumps labels to their labels' labels, in two buffers by turns, so
-    every orbit ends labelled by its least point."""
+    every orbit ends labelled by its least point.  A round that raises a
+    label raises InternalInvariantViolation instead of running on."""
     label = _arange(perms[0].degree)
     spare = np.empty_like(label)
     changed = True
@@ -568,11 +567,14 @@ def transitive(perms, minima):
             low = part.copy()
             for s in range(0, least.size, _PIECE):
                 np.minimum.at(low, least[s:s + _PIECE], part[s:s + _PIECE])
-            low = _take(low, least, spare[:least.size])  # never above part
-            if not np.array_equal(low, part):
+            low = _take(low, least, spare[:least.size])
+            if (low != part).any():
+                if (low > part).any():  # labels only fall, or rounds never end
+                    raise InternalInvariantViolation(
+                        "transitive raised a label: its rounds would never end")
                 part[:] = low
                 _take(label, label, spare)
-                while not np.array_equal(spare, label):
+                while (spare != label).any():
                     label, spare = spare, label
                     _take(label, label, spare)
                 changed = True

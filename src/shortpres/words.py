@@ -344,11 +344,7 @@ def parse_word(text):
     text = text.strip()
     if text == "1":
         return GroupWord()
-    parser = _Parser(_tokenize(text))
-    w = parser.word(stop=())
-    if parser.peek() is not None:
-        raise InternalInvariantViolation(f"trailing tokens in {text!r}")
-    return w
+    return _Parser(_tokenize(text)).word(stop=())
 
 
 # ---------------------------------------------------------------------------

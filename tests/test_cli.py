@@ -527,6 +527,13 @@ class TestFalsify:
         assert out.endswith("subgroup contrast at p=107: skipped "
                             "(p = 107 exceeds the enumeration bound 100)\n")
 
+    def test_a_prime_above_the_proven_bound_is_refused(self, capsys):
+        p = 10**30 + 7
+        code, out, err = run(capsys, "falsify", "--p", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"shortpres: primality of {p} is not proven: ")
+        assert err.count("\n") == 1
+
     def test_the_p3_target_reads_j_from_the_presentation(self, capsys,
                                                         monkeypatch):
         def refuse(*args, **kwargs):

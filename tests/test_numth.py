@@ -147,6 +147,8 @@ class TestUnitGenerator:
         assert group_unit_generator(23) == 5
         assert group_unit_generator(47) == 5
         assert group_unit_generator(13) == 2
+        with pytest.raises(BadPrimeClass, match="^9 is not prime$"):
+            group_unit_generator(9)
 
     def test_squares_only(self):
         assert group_unit_generator(11, squares_only=True) == 3

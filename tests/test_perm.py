@@ -6,6 +6,7 @@ Products apply the left factor first throughout, so (1,2)(2,3) = (1,3,2).
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -42,12 +43,18 @@ class TestConstruction:
         assert e.is_identity()
         assert e.degree == 4
         assert str(e) == "()"
+        with pytest.raises(DomainMismatch, match=r"^empty domain \[5, 4\]$"):
+            Permutation.identity(5, 4)
 
     def test_images_bijection_required(self):
         with pytest.raises(DomainMismatch):
             Permutation(np.array([1, 1, 3]), 1)
         with pytest.raises(DomainMismatch):
             Permutation(np.array([0, 1, 2]), 1)
+        for images, message in (([[1, 2], [2, 1]], "images must be a flat sequence"),
+                                ([], "empty image list")):
+            with pytest.raises(DomainMismatch, match=f"^{message}$"):
+                Permutation(np.array(images), 1)
 
     def test_negative_domain(self):
         g = Permutation.from_cycles([(-2, 0, 3)], -2, 3)
@@ -175,6 +182,11 @@ class TestStructure:
         g = P("(1,3,5)(2,4)")
         assert parse_cycles(str(g), 1, 5) == g
 
+    @pytest.mark.parametrize("text", ["(1,2", "(1,2)x"])
+    def test_parse_refuses_text_that_is_not_cycles(self, text):
+        with pytest.raises(DomainMismatch, match=f"^unparseable cycle text '{re.escape(text)}'$"):
+            parse_cycles(text, 1, 5)
+
     def test_hash_consistent(self):
         assert len({P("(1,2)"), P("(1,2)"), P("(2,1)")}) == 1
 
@@ -200,6 +212,14 @@ class TestStructure:
                               capture_output=True, text=True, check=False)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "point 4 is reached twice: the window is not a bijection\n" * 3
+
+    def test_a_moved_point_on_no_cycle_is_refused(self):
+        # 3 -> 1 and the cycle (1,2): every walk closes, but 3 is on none
+        g = Permutation.identity(1, 6)._like(np.array([1, 0, 0], np.int32), 0)
+        for show in (Permutation.cycles, str, repr):
+            with pytest.raises(InternalInvariantViolation,
+                               match="^a moved point is on no cycle: the window is not a bijection$"):
+                show(g)
 
 
 @settings(max_examples=60)
@@ -464,6 +484,35 @@ def test_transitive_on_disjoint_and_joined_windows():
     assert not transitive([low], [high], hi=1000)  # windows [0, 448), [448, 1000)
     assert transitive([low], [high], [(448, 449)], hi=1000)
     assert not transitive([low + high[:-1]], hi=1000)  # 1000 is fixed
+
+
+def test_transitive_stops_on_minima_that_raise_a_label():
+    # labels that could rise would never settle, so the child runs under a
+    # timeout; its gather of the labels at the cycle minima adds one to each
+    code = """if True:
+        from unittest import mock
+        from shortpres import perm
+        from shortpres.errors import InternalInvariantViolation
+        from shortpres.perm import Permutation
+        gens = [Permutation.from_cycles(c, 1, 4) for c in ([(1, 2, 3)], [(3, 4)])]
+        minima = [g.cycle_minima() for g in gens]
+        take = perm._take
+
+        def raised(src, idx, out=None):
+            got = take(src, idx, out)
+            return got + 1 if any(idx is least for least in minima) else got
+
+        with mock.patch.object(perm, "_take", raised):
+            try:
+                perm.transitive(gens, minima)
+            except InternalInvariantViolation as exc:
+                print(exc)
+        """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "transitive raised a label: its rounds would never end\n"
 
 
 def test_split_is_used_from_the_threshold_on():

@@ -5,6 +5,7 @@ conventions documented in the words module docstring.
 """
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import split_from
 from shortpres import words
-from shortpres.errors import InternalInvariantViolation, UnboundSymbol
+from shortpres.errors import InternalInvariantViolation, ShortPresError, UnboundSymbol
 from shortpres.builders import base_p2_hat, glued, presentation_for
 from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import check_relators
@@ -213,6 +214,11 @@ class TestText:
             parse_word("(a")
         with pytest.raises(InternalInvariantViolation):
             parse_word("a )")
+        for text, message in (("a $", "cannot tokenize ' $'"),
+                              ("()", "empty parentheses"),
+                              ("a )", "unexpected token ')'")):
+            with pytest.raises(ShortPresError, match=f"^{re.escape(message)}$"):
+                parse_word(text)
 
 
 class TestSlp:
@@ -249,6 +255,14 @@ class TestSlp:
         s = Slp.from_text("# note\n\ngenerators: a\n\nrelator: a^2\n")
         assert s.generators == ("a",)
         assert s.relators == (a ** 2,)
+
+    @pytest.mark.parametrize("text, message", [
+        ("generators: a\nrelator a^2\n", "unrecognized line 'relator a^2'"),
+        ("relator: a^2\n", "missing generators line"),
+    ])
+    def test_from_text_refuses_text_that_is_not_an_slp(self, text, message):
+        with pytest.raises(ShortPresError, match=f"^{re.escape(message)}$"):
+            Slp.from_text(text)
 
     def test_bit_length_sums_parts(self):
         s = self.build()
