@@ -664,6 +664,6 @@ def presentation_json(pres):
         "domain": list(pres.domain) if pres.domain else None,
         "bit_length": pres.slp.bit_length(),
         "word_length": pres.slp.word_length(),
-        "slp": pres.slp.to_json(),
+        "slp": pres.slp.to_text(),
         "images": images,
     }

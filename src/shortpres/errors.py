@@ -66,6 +66,11 @@ class InternalInvariantViolation(ShortPresError):
     """A derived parameter failed a consistency check that should always hold."""
 
 
+class MalformedText(ShortPresError):
+    """Text given as a word or an SLP is not one that the text format
+    admits."""
+
+
 class UnboundSymbol(ShortPresError):
     """A word referenced a symbol with no image and no earlier definition."""
 

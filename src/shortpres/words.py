@@ -36,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import InternalInvariantViolation, UnboundSymbol
+from .errors import InternalInvariantViolation, MalformedText, UnboundSymbol
 
 # ---------------------------------------------------------------------------
 # AST
@@ -257,7 +257,8 @@ def _operand_text(word):
     return f"({to_text(word)})"
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+|\^|\(|\)|\[|\]|,)")
+_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(rf"\s*({_SYMBOL_RE.pattern}|-?\d+|\^|\(|\)|\[|\]|,)")
 
 
 def _tokenize(text):
@@ -265,7 +266,7 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise InternalInvariantViolation(f"cannot tokenize {text[pos:]!r}")
+            raise MalformedText(f"cannot tokenize {text[pos:]!r}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -282,7 +283,7 @@ class _Parser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise InternalInvariantViolation(
+            raise MalformedText(
                 f"expected {expected!r}, found {tok!r} at position {self.i}")
         self.i += 1
         return tok
@@ -314,7 +315,7 @@ class _Parser:
             w = self.word()
             self.take(")")
             if w.is_empty():
-                raise InternalInvariantViolation("empty parentheses")
+                raise MalformedText("empty parentheses")
             if len(w.factors) == 1 and _ungroup(w) is w:
                 return w
             # keep a group around a group: "((a b))^c" conjugates "(a b)"
@@ -326,10 +327,10 @@ class _Parser:
             right = self.word()
             self.take("]")
             return comm(left, right)
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if tok is not None and _SYMBOL_RE.fullmatch(tok):
             self.take()
             return sym(tok)
-        raise InternalInvariantViolation(f"unexpected token {tok!r}")
+        raise MalformedText(f"unexpected token {tok!r}")
 
 
 def _ungroup(word):
@@ -397,31 +398,40 @@ class Slp:
 
     @classmethod
     def from_text(cls, text):
+        """Read the text to_text writes, skipping blank and "#" lines.
+
+        MalformedText: a line of none of these kinds, no generators line or
+        more than one, a name that is not a symbol, or a name bound twice."""
         gens, defs, rels = None, [], []
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("generators:"):
-                gens = tuple(line[len("generators:"):].split())
+                if gens is not None:
+                    raise MalformedText("more than one generators line")
+                gens = tuple(map(_symbol, line[len("generators:"):].split()))
             elif line.startswith("relator:"):
                 rels.append(parse_word(line[len("relator:"):]))
             elif ":=" in line:
                 name, _, rhs = line.partition(":=")
-                defs.append((name.strip(), parse_word(rhs)))
+                defs.append((_symbol(name.strip()), parse_word(rhs)))
             else:
-                raise InternalInvariantViolation(f"unrecognized line {line!r}")
+                raise MalformedText(f"unrecognized line {line!r}")
         if gens is None:
-            raise InternalInvariantViolation("missing generators line")
+            raise MalformedText("missing generators line")
+        bound = set()
+        for name in gens + tuple(name for name, _ in defs):
+            if name in bound:
+                raise MalformedText(f"symbol {name!r} bound twice")
+            bound.add(name)
         return cls(gens, tuple(defs), tuple(rels))
 
-    def to_json(self):
-        return {
-            "generators": list(self.generators),
-            "definitions": [{"name": n, "word": word_to_json(w)}
-                            for n, w in self.definitions],
-            "relators": [word_to_json(w) for w in self.relators],
-        }
+
+def _symbol(name):
+    if not _SYMBOL_RE.fullmatch(name):
+        raise MalformedText(f"{name!r} is not a symbol")
+    return name
 
 
 def _free_symbols(word):
@@ -437,27 +447,6 @@ def _free_symbols(word):
             yield from _free_symbols(base.right)
         else:
             yield from _free_symbols(base)
-
-
-# ---------------------------------------------------------------------------
-# JSON mirror of the AST
-
-
-def word_to_json(word):
-    return [_factor_json(f) for f in word.factors]
-
-
-def _factor_json(f):
-    base = f.base
-    if isinstance(base, Sym):
-        node = {"sym": base.name}
-    elif isinstance(base, Conj):
-        node = {"conj": [word_to_json(base.target), word_to_json(base.by)]}
-    elif isinstance(base, Comm):
-        node = {"comm": [word_to_json(base.left), word_to_json(base.right)]}
-    else:
-        node = {"grp": word_to_json(base)}
-    return {"base": node, "exp": f.exp}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from test_builders import GOLDEN_ALT_17
 from shortpres import builders, cli, numth, perm, sl2, verify
 from shortpres.cli import main
 from shortpres.errors import InternalInvariantViolation
+from shortpres.words import Slp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -202,14 +203,15 @@ def test_falsify_output_digest(capsys, p):
 
 # exit code and sha256 of the stdout of `emit --format json`: one indented
 # record, NDJSON over a range holding uncovered degrees (exit 2), and records
-# above the materialization cap, whose images are null.
+# above the materialization cap, whose images are null; recorded when the
+# record's slp became the SLP text.
 JSON_DIGESTS = {
     ("-n", "17", "--kind", "sym"): (
-        0, "89e7584868df9cc65c08f1ea562557abb51af52705a1c7e263360fd099fdc3a4"),
+        0, "449eacc1f2f6e0f5d14a6e78e005abe4a441c968655b79a7e8bc3fa1fe4ba18a"),
     ("-n", "13..120", "--kind", "both"): (
-        2, "0c51f8a62ed8d6853d8dcc2a523f6638f4d2487e2b6d806e6b981ceddb727f28"),
+        2, "f45d260f1d1eb29ad28cc7c3cb141f16d3a6999f17f44bd07337f38827e5a724"),
     ("-n", "10000019", "--kind", "both"): (
-        0, "ab1e580b5853cfc6025d938f60d02573eff06d814cb74a1162b704596a16bf71"),
+        0, "ec5071f5b41832b875421b03216461d4306f21c41900aa39d2a88ac8cba663a3"),
 }
 
 
@@ -217,6 +219,26 @@ JSON_DIGESTS = {
 def test_emit_json_digest(capsys, options):
     code, out, _ = run(capsys, "emit", *options, "--format", "json")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == JSON_DIGESTS[options]
+
+
+@pytest.mark.parametrize("simplify", [True, False])
+def test_emit_json_slp_reads_back(capsys, simplify):
+    """The slp of every NDJSON record is the SLP text, which Slp.from_text
+    reads back as the presentation's SLP, with the record's bit length."""
+    flags = () if simplify else ("--no-simplify",)
+    code, out, _ = run(capsys, "emit", "-n", "13..120", "--kind", "both",
+                       "--format", "json", *flags)
+    assert code == 2  # 21..24 are not covered
+    records = [json.loads(line) for line in out.splitlines()]
+    assert sorted((r["degree"], r["kind"]) for r in records) == sorted(
+        (n, kind) for kind in ("Alt", "Sym")
+        for n in builders.covered_degrees(13, 120, kind))
+    for record in records:
+        slp = Slp.from_text(record["slp"])
+        want = builders.presentation_for(record["degree"], record["kind"],
+                                         simplify=simplify).slp
+        assert slp == want
+        assert slp.bit_length() == record["bit_length"]
 
 
 class TestVerify:
@@ -672,6 +694,7 @@ ARRAY_LAYER = ("numpy", "shortpres.perm", "shortpres.verify")
     (("--help",), ()),
     (("emit", "-n", "17", "--kind", "sym"), ()),
     (("emit", "-n", str(10**18), "--format", "flat"), ()),
+    (("emit", "-n", str(10**18), "--format", "json"), ()),
     (("params", "-n", "13..20", "--kind", "both"), ()),
     (("stats", "-n", "51,1000", "--kind", "both"), ()),
     (("emit", "-n", "17", "--format", "json"), ARRAY_LAYER[:2]),

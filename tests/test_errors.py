@@ -22,6 +22,7 @@ CASES = {
     "BadPrimeClass": (("13 is not 11 (mod 12)",), {}),
     "ParityViolation": (("odd exponent pair",), {}),
     "InternalInvariantViolation": (("k out of range",), {}),
+    "MalformedText": (("empty parentheses",), {}),
     "UnboundSymbol": (("q",), {"name": "q"}),
     "EnumerationTooLarge": (("too many points",), {}),
     "DegreeTooLarge": (("no images",), {}),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import split_from
 from shortpres import words
-from shortpres.errors import InternalInvariantViolation, ShortPresError, UnboundSymbol
+from shortpres.errors import InternalInvariantViolation, MalformedText, UnboundSymbol
 from shortpres.builders import base_p2_hat, glued, presentation_for
 from shortpres.perm import Permutation, parse_cycles
 from shortpres.verify import check_relators
@@ -208,16 +208,16 @@ class TestText:
         assert parse_word(to_text(w)) == w
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(InternalInvariantViolation):
+        with pytest.raises(MalformedText):
             parse_word("a^")
-        with pytest.raises(InternalInvariantViolation):
+        with pytest.raises(MalformedText):
             parse_word("(a")
-        with pytest.raises(InternalInvariantViolation):
+        with pytest.raises(MalformedText):
             parse_word("a )")
         for text, message in (("a $", "cannot tokenize ' $'"),
                               ("()", "empty parentheses"),
                               ("a )", "unexpected token ')'")):
-            with pytest.raises(ShortPresError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(MalformedText, match=f"^{re.escape(message)}$"):
                 parse_word(text)
 
 
@@ -259,9 +259,17 @@ class TestSlp:
     @pytest.mark.parametrize("text, message", [
         ("generators: a\nrelator a^2\n", "unrecognized line 'relator a^2'"),
         ("relator: a^2\n", "missing generators line"),
+        ("generators: a b\ngenerators: c\nrelator: c^2\n",
+         "more than one generators line"),
+        ("generators: a\n := a^2\n", "'' is not a symbol"),
+        ("generators: a\nx y := a\n", "'x y' is not a symbol"),
+        ("generators: 1a\n", "'1a' is not a symbol"),
+        ("generators: a a\n", "symbol 'a' bound twice"),
+        ("generators: a\nb := a\nb := a\n", "symbol 'b' bound twice"),
+        ("generators: a\na := a^2\n", "symbol 'a' bound twice"),
     ])
     def test_from_text_refuses_text_that_is_not_an_slp(self, text, message):
-        with pytest.raises(ShortPresError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(MalformedText, match=f"^{re.escape(message)}$"):
             Slp.from_text(text)
 
     def test_bit_length_sums_parts(self):
