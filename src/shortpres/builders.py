@@ -26,6 +26,7 @@ slp or flat text, stats and params never do.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -212,12 +213,25 @@ def _mul_image(factor, p, lo, hi):
     return Permutation(_mul_points(factor, p, lo, hi), lo)
 
 
+# From this many field points on, a and g carry the listing of their
+# cycles (Permutation.listed).  Below it, the listing costs more than its
+# rotations and cycle minima save: powers that share binary prefixes take
+# about three gathers each there, fewer calls than a rotation makes, and
+# building and checking the listings adds about 40 us a presentation.
+# Measured on a 2-CPU x86 VM, verify with and without the listings of a
+# and g: 5-10% slower at degrees 20-500, 2-5% at 2000-4000, about even at
+# 6000 and 3-9% faster from 8200 on (15-25% faster from 65000 on).
+_LISTED_FROM = 1 << 12
+
+
 def _a_image(p, lo, hi):
-    """(1,2,...,p) inside [lo, hi]: the shift x -> x+1 on the embedded F_p."""
+    """(1,2,...,p) inside [lo, hi]: the shift x -> x+1 on the embedded F_p,
+    listed as the one cycle 1, ..., p from _LISTED_FROM points on."""
     arr, reps = _field_points(p, lo, hi)
     arr[1 - lo:p + 1 - lo] = reps % p + 1
     _, Permutation = _arrays()
-    return Permutation(arr, lo)
+    a = Permutation(arr, lo)
+    return a.listed(range(1, p + 1), [p]) if p >= _LISTED_FROM else a
 
 
 def _x_image(p, lo, hi):
@@ -233,7 +247,8 @@ def _x_image(p, lo, hi):
 
 
 def _g_image(ps, lo, hi):
-    """alpha-multiplication times (p, p+1, p+2)^kappa.
+    """alpha-multiplication times (p, p+1, p+2)^kappa, listed with its
+    cycles (_g_cycles) from _LISTED_FROM field points on.
 
     The multiplication fixes p, p+1 and p+2, so the product is the
     multiplication with the 3-cycle's power (p,p+1,p+2)^(kappa mod 3)
@@ -243,10 +258,62 @@ def _g_image(ps, lo, hi):
     if hi < p + 2:
         raise PointOutOfDomain(p + 2, lo, hi)
     np, Permutation = _arrays()
+    # The listing first: built after the window, it left the peak of
+    # verify at Sym 9999999 one n/2-point array higher (451 against 432 MiB
+    # from fresh copies of the source, both depths), the allocator keeping
+    # memory it would otherwise return.
+    cycles = _g_cycles(ps) if p >= _LISTED_FROM else None
     arr = _mul_points(ps.alpha, p, lo, hi)
     shift = ps.kappa % 3
     arr[p - lo:p + 3 - lo] = p + (np.arange(3) + shift) % 3
-    return Permutation(arr, lo)
+    g = Permutation(arr, lo)
+    del arr
+    return g.listed(*cycles) if cycles else g
+
+
+# the most points _g_cycles multiplies in one int64 temporary
+_CHUNK = 1 << 16
+
+
+def _g_cycles(ps):
+    """g's cycles, as int32 points and lengths.  The field cycles are the
+    cosets of <alpha> in F_p^*, of alpha's order m (kappa, for parameters
+    that pass validate_params), each listed from its least point c as c,
+    c*alpha, c*alpha^2, ...; cosets differ in c^m.  Then, unless kappa is
+    a multiple of 3, the 3-cycle from p, which g takes to p + (kappa mod 3).
+
+    A coset's run is an outer product of two runs of about sqrt(m) powers,
+    c*alpha^(i*w + j) = (c*alpha^(i*w)) * alpha^j, in row chunks."""
+    np, _ = _arrays()
+    p, alpha, shift = ps.p, ps.alpha, ps.kappa % 3
+    m = numth.unit_order(alpha, p)
+    reps = {}  # c^m -> the least c of its coset
+    for c in range(1, p):
+        if len(reps) == (p - 1) // m:
+            break
+        reps.setdefault(pow(c, m, p), c)
+    w = math.isqrt(m - 1) + 1  # w * w >= m
+    tails = np.array(_run(1, alpha, w, p), dtype=np.int64)
+    rows = max(1, _CHUNK // w)
+    points = np.empty(p - 1 + (3 if shift else 0), dtype=np.int32)
+    for i, c in enumerate(reps.values()):
+        heads = np.array(_run(c, pow(alpha, w, p), -(-m // w), p), dtype=np.int64)
+        coset = points[i * m:(i + 1) * m]
+        for r in range(0, heads.size, rows):
+            part = coset[r * w:(r + rows) * w]
+            part[:] = (np.multiply.outer(heads[r:r + rows], tails) % p
+                       ).ravel()[:part.size]
+    if shift:
+        points[p - 1:] = p, p + shift, p + 2 * shift % 3
+    return points, [m] * len(reps) + ([3] if shift else [])
+
+
+def _run(c, q, k, p):
+    """c, c*q, c*q^2, ... mod p: k Python ints."""
+    out = [c]
+    for _ in range(k - 1):
+        out.append(out[-1] * q % p)
+    return out
 
 
 def _base_relators(w, ps):

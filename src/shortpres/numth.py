@@ -135,6 +135,15 @@ def _has_order(x, m, p, qs):
             and all(pow(x, m // q, p) != 1 for q in qs))
 
 
+def unit_order(x, p):
+    """The multiplicative order of the unit x modulo the prime p."""
+    m = p - 1
+    for q in _prime_factors(m):
+        while m % q == 0 and pow(x, m // q, p) == 1:
+            m //= q
+    return m
+
+
 def group_unit_generator(p, squares_only=False):
     """Smallest positive generator of F_p^* (or of its subgroup of squares).
 

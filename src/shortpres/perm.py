@@ -21,23 +21,41 @@ nothing outside it.  Operands on the same window (the usual case) need
 no padding: a product is one gather, an inverse one scatter, with no
 shift back and forth, so they stay cheap up to degrees in the millions;
 a product whose right factor's window holds the left's pads nothing
-either.  Powers run one kernel, `_power`: square-and-multiply from the
-top binary digit down, started from the base or, through `power_from`,
-from a power of it already made, x^f, whose window the first squaring
-reads in place; x^e then costs only the digits of e after those of f.
+either.
+
+A permutation may carry a listing of its cycles (`listed`): the window
+offsets of its moved points in cycle order, and the length of each
+cycle.  A listing is a claim, checked once against the window when it is
+attached (one gather shows that the window maps each entry to the next
+in its cycle, and counts that every moved point is listed once), so a
+wrong one raises InternalInvariantViolation and never gives a result.  A
+listing of consecutive points in their order, like that of the p-cycle
+(1, ..., p), is described, not stored; a stored one replaces the window
+it states, which is made from it when it is read (_Listed).  Powers of a
+listed permutation are listed too: each records the listing and its
+exponent, and shares the listing's array.  A power of a listed
+permutation, through __pow__ or `power_from`, is one rotation of each
+listed cycle, whatever the exponent, and (x^f)^e is the rotation by f*e
+of x's listing.  Every other power runs `_power`: square-and-multiply
+from the top binary digit down, started from the base or, through
+`power_from`, from a power of it already made, x^f, whose window the
+first squaring reads in place; x^e then costs only the digits of e after
+those of f.
 `images`, the full int32 array of offsets images[i] = (lo + i)^perm - lo,
 is built each time it is read.  Absolute points appear only at the edges:
-the constructor, __call__, cycles and __str__.
+the constructor, `listed`, __call__, cycles and __str__.
 
 Every cycle question (cycle_type, order, `transitive`, the text of
 `cycles`) reads `cycle_minima`: window-relative, without the fixed
-points outside the window.  No other module reads a window.
+points outside the window.  A listed permutation reads them from its
+listing, one minimum per cycle; any other finds them by pointer
+doubling.  No other module reads a window.
 
 Every gather and scatter but the serial scatter-min of `transitive` goes
 through `_take` or `_put`.  From _SPLIT points on, these cut the index
 array into a few contiguous chunks per usable CPU: each chunk reads all
 of the source and writes its own part of the result (a scatter's indices
-are a bijection, so its chunks write disjoint points, and each chunk
+are distinct, so its chunks write disjoint points, and each chunk
 makes the values it scatters, so no full array of them is held), and
 numpy releases the GIL while it gathers or scatters, so the chunks run
 at once with no extra array.  This thread and a thread pool claim the
@@ -52,8 +70,10 @@ takes its share of the usable CPUs instead (`_set_threads`).
 
 from __future__ import annotations
 
+import bisect
 import collections
 import concurrent.futures
+import itertools
 import math
 import numbers
 import os
@@ -198,7 +218,7 @@ def _take(src, idx, out=None):
 
 
 def _put(arr, idx, vals):
-    """arr[idx[i]] = v[i] for idx a bijection of arr's indices, where
+    """arr[idx[i]] = v[i] for idx distinct indices of arr, where
     v[s:e] = vals(s, e): each chunk's values are made as it is written, so
     no array of all of them is held.  The indices are cast to intp first,
     as _take's are."""
@@ -286,10 +306,159 @@ def _embed(win, off, size):
     return arr
 
 
+def _rotation(entries, pieces):
+    """The values of a rotation for _put over the listing positions
+    [a0, b_last) of its pieces: entries(s, e) gives the offsets listed at
+    positions [s, e), and a piece (a, b, k) gives position j in [a, b) the
+    entry at j + k; v[s:e] joins the parts of the pieces that positions
+    a0 + s to a0 + e meet."""
+    first, starts = pieces[0][0], [a for a, _, _ in pieces]
+
+    def vals(s, e):
+        s, e = s + first, e + first
+        parts = []
+        for a, b, k in itertools.islice(
+                pieces, bisect.bisect_right(starts, s) - 1, None):
+            if a >= e:
+                break
+            parts.append(entries(max(a, s) + k, min(b, e) + k))
+        # a split chunk may hold no points
+        return parts[0] if len(parts) == 1 else np.concatenate(
+            parts or [entries(s, s)])
+
+    return vals
+
+
+class _Listing:
+    """The cycles of one window, checked against it (Permutation.listed),
+    and shared by every power of the permutation they were checked
+    against, which keeps its window: the cycle at listing position f of n
+    points holds the offsets points[f:f + n] in cycle order, for (f, n) in
+    `bounds`.  points is None where the listing is the offsets first,
+    first + 1, ... in their order, which is described, not stored.  `order`
+    is the lcm of the lengths, the order of the permutation, and `lows`
+    the least offset of each cycle."""
+
+    __slots__ = ("points", "first", "bounds", "order", "start", "size", "lows")
+
+    def __init__(self, win, start, points, first, count, lengths):
+        lengths = [int(n) for n in lengths]
+        if min(lengths, default=2) < 2 or sum(lengths) != count:
+            raise InternalInvariantViolation(
+                f"cycle lengths {lengths} do not list {count} moved points")
+        if points is not None:
+            points.flags.writeable = False
+        self.points, self.first = points, first
+        self.bounds = list(zip(itertools.accumulate([0] + lengths), lengths))
+        self.order = math.lcm(*lengths)
+        self.start, self.size = start, win.size
+        # One gather, split among the threads from _SPLIT points on: the
+        # window takes each entry to the next in its cycle, so the entries
+        # of a cycle are a walk of the window that closes.
+        wrong = []  # the chunks where it does not
+
+        def walk(s, e):
+            if not (_take(win, self._entries(s, e)) == succ(s, e)).all():
+                wrong.append(s)
+
+        if count:
+            succ = _rotation(self._entries, self._pieces(1))
+            _in_chunks(count, walk)
+        if wrong:
+            raise InternalInvariantViolation(
+                "the window does not take a listed point to the next one "
+                "in its cycle")
+        # A walk that meets its least entry once is a whole cycle, and
+        # cycles with different least entries are different: then no entry
+        # repeats, every listed point moves, and entries as many as the
+        # moved points list them all.  Counts, with no temporary of the
+        # window's size.
+        self.lows = []
+        for f, n in self.bounds:
+            parts = [(s, min(s + _PIECE, f + n))
+                     for s in range(f, f + n, _PIECE)]
+            low = min(int(self._entries(s, e).min()) for s, e in parts)
+            if sum(np.count_nonzero(self._entries(s, e) == low)
+                   for s, e in parts) != 1:
+                raise InternalInvariantViolation(
+                    "a listed cycle walks its cycle more than once")
+            self.lows.append(low)
+        moved = sum(np.count_nonzero(
+            win[s:s + _PIECE] != np.arange(s, s + win[s:s + _PIECE].size,
+                                           dtype=np.int32))
+            for s in range(0, win.size, _PIECE))
+        if len(set(self.lows)) != len(self.lows) or moved != count:
+            raise InternalInvariantViolation(
+                "the listing does not hold every moved point once")
+
+    def _entries(self, s, e):
+        """The offsets listed at positions [s, e)."""
+        if self.points is None:
+            return np.arange(self.first + s, self.first + e, dtype=np.int32)
+        return self.points[s:e]
+
+    def _pieces(self, t):
+        """The rotation by t, t >= 0, of the listing from the first cycle
+        t moves to the last, in pieces (a, b, k): position j in [a, b)
+        takes the entry at j + k.  A cycle of n points at f is two pieces,
+        position j taking the entry at f + (j - f + t) mod n; a cycle that
+        t leaves as it is, between two that it moves, is one piece with
+        k = 0."""
+        pieces = []
+        for f, n in self.bounds:
+            r = t % n
+            if r:
+                pieces += (f, f + n - r, r), (f + n - r, f + n, r - n)
+            elif pieces:
+                pieces.append((f, f + n, 0))
+        while pieces and not pieces[-1][2]:
+            pieces.pop()
+        return pieces
+
+    def power(self, t):
+        """The window of the t-th power, t >= 0, by one rotation of each
+        cycle, as one scatter of the pieces (_pieces)."""
+        out = _arange(self.size)
+        pieces = self._pieces(t)
+        if not pieces:
+            return out
+        if self.points is None:  # consecutive offsets: shift them in chunks
+            for a, b, k in pieces:
+                cyc = out[self.first + a:self.first + b]
+                _in_chunks(cyc.size,
+                           lambda s, e: np.add(cyc[s:e], k, out=cyc[s:e]))
+            return out
+        _put(out, self.points[pieces[0][0]:pieces[-1][1]],
+             _rotation(self._entries, pieces))
+        return out
+
+    def minima(self, t):
+        """The cycle minima of the t-th power, t >= 0: the cycle of n
+        points at f splits into d = gcd(t, n) cycles, its positions
+        f + j with j = i (mod d), and each takes the least of its offsets."""
+        least = _arange(self.size)
+        for (f, n), low in zip(self.bounds, self.lows):
+            d = math.gcd(t, n)
+            if d == n:  # the power fixes every point of the cycle
+                continue
+            if self.points is None:
+                least[self.first + f:self.first + f + n].reshape(-1, d)[:] = (
+                    np.arange(self.first + f, self.first + f + d, dtype=np.int32))
+            else:
+                cyc = self.points[f:f + n]
+                if d == 1:  # one cycle: its least entry for every point
+                    _put(least, cyc, lambda s, e: low)
+                else:
+                    each = cyc.reshape(-1, d).min(axis=0)
+                    _put(least, cyc, lambda s, e: np.tile(
+                        np.roll(each, -(s % d)), -(-(e - s) // d))[:e - s])
+        return least
+
+
 class Permutation:
     """A bijection of [lo, hi], composed left-to-right."""
 
-    __slots__ = ("lo", "degree", "start", "win")
+    __slots__ = ("lo", "degree", "start", "win", "listing", "exponent")
 
     def __init__(self, images, lo=1):
         """Wrap the absolute images of the points lo, lo+1, ...; they must
@@ -326,6 +495,9 @@ class Permutation:
         self.start = start
         self.lo = lo
         self.degree = degree
+        # or the _Listing of which self is the power `exponent` (a slot
+        # set only beside a listing), below the listing's order
+        self.listing = None
 
     def _like(self, win, start):
         """Internal: a permutation of self's domain from a window already
@@ -390,6 +562,53 @@ class Permutation:
                 arr[x - base] = pts[(i + 1) % len(pts)] - base
         return ident._like(arr, start)
 
+    def listed(self, points, lengths):
+        """self, carrying a listing of its cycles: `points` holds the moved
+        points cycle after cycle, each cycle from any of its points in the
+        order self takes them (x, x^self, x^(self^2), ...), and `lengths`
+        the cycles' lengths; a range is a listing described, not stored.
+        The listing is checked against the window: self must take each
+        entry to the next in its cycle and the last to the first, and the
+        listing must hold every moved point once.  InternalInvariantViolation
+        if not."""
+        win = self.win  # read once: a listed permutation makes it on each read
+        base, size = self.lo + self.start, win.size
+        if isinstance(points, range) and points.step == 1:
+            offsets, first, count = None, points.start - base, len(points)
+            inside = not count or (first >= 0 and first + count <= size)
+        else:
+            arr = np.asarray(points)
+            if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+                raise InternalInvariantViolation(
+                    "a cycle listing is a flat array of integer points")
+            offsets, first, count = np.empty(arr.size, np.int32), 0, arr.size
+            inside = True
+            for s in range(0, count, _PIECE):
+                part = np.subtract(arr[s:s + _PIECE], base, dtype=np.int64)
+                # a negative offset is a large unsigned one
+                inside = inside and part.view(np.uint64).max() < size
+                offsets[s:s + _PIECE] = part
+        if not inside:
+            raise InternalInvariantViolation(
+                "a listed point is outside the window, so it is fixed")
+        listing = _Listing(win, self.start, offsets, first, count, lengths)
+        if offsets is None:
+            out = self._like(win, self.start)
+        else:  # the stored listing replaces the window it states
+            out = object.__new__(_Listed)
+            out.lo, out.degree, out.start = self.lo, self.degree, self.start
+        out.listing, out.exponent = listing, 1 % listing.order
+        return out
+
+    def _turned(self, t):
+        """root^t by rotation, root the permutation self's listing was
+        checked against; it carries the listing."""
+        listing = self.listing
+        t %= listing.order
+        power = self._like(listing.power(t), listing.start)
+        power.listing, power.exponent = listing, t
+        return power
+
     def _check_domain(self, other):
         if self.lo != other.lo or self.degree != other.degree:
             raise DomainMismatch(
@@ -434,7 +653,8 @@ class Permutation:
         return self._like(_take(b, a), start)
 
     def inverse(self):
-        arr = _put(np.empty_like(self.win), self.win,
+        win = self.win
+        arr = _put(np.empty_like(win), win,
                    lambda s, e: np.arange(s, e, dtype=np.int32))
         return self._like(arr, self.start)
 
@@ -442,13 +662,21 @@ class Permutation:
         e = int(e)
         if e == 0:
             return self.identity_like()
+        if self.listing is not None:
+            return self._turned(self.exponent * e)
         base = (self if e > 0 else self.inverse()).win
         return self._like(_power(base, base, bin(abs(e))[3:]), self.start)
 
     def power_from(self, prefix, bits):
         """self^e from prefix = self^f, where bits are the binary digits of
         e after those of f: powers of one base that share the leading
-        digits of their exponents share the squarings that make them."""
+        digits of their exponents share the squarings that make them.
+        Where prefix is a power of the listing self is a power of, prefix
+        = root^q and self = root^m, the result root^(q * 2^k + m * b), k
+        and b the length and value of bits, is one rotation."""
+        if self.listing is not None and prefix.listing is self.listing:
+            return self._turned((prefix.exponent << len(bits))
+                                + self.exponent * int(bits or "0", 2))
         base, win, start = self._pair(prefix)
         return self._like(_power(base, win, bits), start)
 
@@ -461,8 +689,9 @@ class Permutation:
     def __call__(self, point):
         point = _point(point, self.lo, self.hi)
         i = point - self.lo - self.start
-        if 0 <= i < self.win.size:
-            return int(self.win[i]) + self.lo + self.start
+        win = self.win
+        if 0 <= i < win.size:
+            return int(win[i]) + self.lo + self.start
         return point
 
     def __eq__(self, other):
@@ -481,7 +710,10 @@ class Permutation:
                      win.tobytes()))
 
     def is_identity(self):
-        return bool((self.win == _arange(self.win.size)).all())
+        if self.listing is not None:  # t a multiple of every listed length
+            return all(self.exponent % n == 0 for _, n in self.listing.bounds)
+        win = self.win
+        return bool((win == _arange(win.size)).all())
 
     def identity_like(self):
         return Permutation.identity(self.lo, self.hi)
@@ -525,10 +757,13 @@ class Permutation:
     def cycle_minima(self):
         """Offset within the window of the least point on each window
         offset's cycle; the points outside the window are fixed and left
-        out.  By pointer doubling: after k rounds least[i] is the least of
+        out.  A listed permutation reads them from its listing; any other
+        by pointer doubling: after k rounds least[i] is the least of
         the 2^k offsets from i on, and a round that changes nothing has
         covered every cycle.  The rounds write two buffers for the minima
         and two for the jumps in turn, as __pow__ does."""
+        if self.listing is not None:
+            return self.listing.minima(self.exponent)
         least, lower = _arange(self.win.size), np.empty_like(self.win)
         step, jumped = self.win, np.empty_like(self.win)
         while True:
@@ -548,6 +783,22 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.lo},{self.hi}] {self}"
+
+
+class _Listed(Permutation):
+    """A permutation listed with a stored listing (Permutation.listed),
+    which keeps the listing instead of its window, so that the listing
+    costs no memory beside it: the window, the listing's rotation by one,
+    is made each time it is read.  Its powers are rotations, which read
+    only the listing, and keep their windows."""
+
+    __slots__ = ()
+
+    @property
+    def win(self):
+        win = self.listing.power(self.exponent)
+        win.flags.writeable = False
+        return win
 
 
 def transitive(perms, minima):

@@ -301,6 +301,10 @@ class _Parser:
             tok = self.peek()
             if tok is not None and re.fullmatch(r"-?\d+", tok):
                 self.take()
+                if not int(tok):
+                    raise MalformedText(
+                        f"exponent {tok} at position {self.i - 1}: "
+                        "a factor's exponent is never 0")
                 w = w ** int(tok)
             else:
                 # The parentheses around either conjugation operand are pure
@@ -342,9 +346,13 @@ def _ungroup(word):
 
 
 def parse_word(text):
+    """The word of to_text's text; MalformedText for text it never writes:
+    an empty word is written "1", and no exponent is 0."""
     text = text.strip()
     if text == "1":
         return GroupWord()
+    if not text:
+        raise MalformedText("no word: the empty word is written 1")
     return _Parser(_tokenize(text)).word(stop=())
 
 

@@ -9,9 +9,13 @@ checked against the action of the matrices t and u on the projective line.
 """
 
 import dataclasses
+from unittest import mock
 
+import numpy as np
 import pytest
-from helpers import p3_images
+from helpers import p3_images, split_from
+
+from shortpres import builders, perm
 
 from shortpres.builders import (
     _a_image,
@@ -27,6 +31,7 @@ from shortpres.errors import DomainMismatch, PointOutOfDomain
 from shortpres.numth import is_prime
 from shortpres.perm import Permutation
 from shortpres.sl2 import gens_tu
+from shortpres.verify import certify_order
 
 # both classes p = 1 and p = 2 (mod 3), so both signs of the corrected t, u
 P3_PRIMES = [p for p in range(5, 200) if p % 3 and is_prime(p)]
@@ -171,3 +176,72 @@ class TestWrongClosedFormsAreRefused:
             _g_image(presentation_for(13, "Alt").params, 1, 12)
         with pytest.raises(PointOutOfDomain):
             glue_map_image(11, 6, "Sym", -3, 13)
+
+
+# ---------------------------------------------------------------------------
+# the cycle listings of a and g
+
+
+def _unlisted(x):
+    return Permutation(x.images + x.lo, x.lo)
+
+
+def _assert_same_power(listed, plain):
+    assert listed == plain and listed.listing is not None
+    assert np.array_equal(listed.cycle_minima(), plain.cycle_minima())
+
+
+def _assert_listed_powers(n, kind):
+    """a is one p-cycle; g has one field cycle at Sym degrees and two at
+    Alt ones, beside its 3-cycle.  Their powers by rotation, those of
+    b = g^3 and z = g^kappa, and the powers that continue from a prefix,
+    equal binary powering of unlisted copies, at +-1 and at multiples of
+    each cycle length and of 3 kappa, one off and on; so do the order
+    certificates."""
+    pres = presentation_for(n, kind)
+    kappa = pres.params.kappa
+    a, g = pres.images["a"], pres.images["g"]
+    plain_a, plain_g = _unlisted(a), _unlisted(g)
+    assert [n for _, n in a.listing.bounds] == [pres.params.p]
+    assert [n for _, n in g.listing.bounds] == (
+        [kappa] * (2 if kind == "Alt" else 1) + [3])
+    exps = {1, -1, 2} | {k * m + d for m in (3, kappa, 3 * kappa, pres.params.p)
+                         for k in (1, 2, -1) for d in (-1, 0, 1)}
+    for x, plain in ((a, plain_a), (g, plain_g), (g ** 3, plain_g ** 3),
+                     (g ** kappa, plain_g ** kappa)):
+        for e in exps:
+            _assert_same_power(x ** e, plain ** e)
+        _assert_same_power(x.power_from(x ** 5, "0110"),
+                           plain.power_from(plain ** 5, "0110"))
+    gens = [pres.images[t] for t in pres.slp.generators]
+    listed, plain = certify_order(gens), certify_order(list(map(_unlisted, gens)))
+    assert listed == plain and listed.certificate == plain.certificate
+
+
+@pytest.mark.parametrize("n, kind", [(13, "Alt"), (14, "Sym"), (17, "Sym"),
+                                     (1001, "Alt"), (1000, "Sym"),
+                                     (100002, "Alt"), (100003, "Sym")])
+def test_powers_of_listed_images_agree_with_binary_powering(n, kind):
+    """_assert_listed_powers, with a and g listed at every degree."""
+    with mock.patch.object(builders, "_LISTED_FROM", 0):
+        _assert_listed_powers(n, kind)
+
+
+def test_split_powers_of_listed_images_agree_with_binary_powering():
+    """The test above with every scatter and gather split among three
+    threads, in chunks of at most five points."""
+    with split_from(0, 3), mock.patch.object(perm, "_PIECE", 5), \
+            mock.patch.object(builders, "_LISTED_FROM", 0):
+        for n, kind in ((13, "Alt"), (17, "Sym"), (100, "Alt"), (101, "Sym")):
+            _assert_listed_powers(n, kind)
+        assert perm._pool is not None
+
+
+def test_images_are_listed_from_the_threshold_on():
+    """Below builders._LISTED_FROM field points a listing costs more than
+    it saves, and a and g carry none."""
+    for n, kind, listed in ((4000, "Alt", False), (8170, "Sym", False),
+                            (8190, "Sym", True), (100002, "Alt", True)):
+        pres = presentation_for(n, kind)
+        assert (pres.params.p >= builders._LISTED_FROM) == listed
+        assert [pres.images[t].listing is not None for t in "ag"] == [listed] * 2

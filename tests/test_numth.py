@@ -397,3 +397,10 @@ def test_derived_params_validate_as_themselves():
     for ps in _pinned_param_sets():
         if isinstance(ps, ParamSet):
             assert validate_params(ps) is ps, ps
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 23, 101, 4127])
+def test_unit_order_is_the_least_power_to_one(p):
+    for x in range(1, min(p, 60)):
+        assert numth.unit_order(x, p) == next(
+            m for m in range(1, p) if pow(x, m, p) == 1)

@@ -623,3 +623,120 @@ def test_importing_the_package_starts_no_thread():
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert (proc.returncode, proc.stdout) == (0, "1\n")
+
+
+# ---------------------------------------------------------------------------
+# cycle listings
+
+
+def _listing(g):
+    """g's cycles as a listing: its moved points cycle after cycle, and the
+    cycles' lengths."""
+    cycles = g.cycles()
+    return [x for c in cycles for x in c], [len(c) for c in cycles]
+
+
+def _unlisted(g):
+    """A permutation equal to g, on g's window, without a listing."""
+    return Permutation(g.images + g.lo, g.lo)
+
+
+def assert_same_power(listed, plain):
+    """A power by rotation equals the one by binary powering, carries its
+    base's listing, and reads the same cycle minima, on the same window."""
+    assert listed == plain
+    assert listed.win.dtype == np.int32
+    assert (listed.start, listed.win.size) == (plain.start, plain.win.size)
+    assert np.array_equal(listed.cycle_minima(), plain.cycle_minima())
+    assert listed.cycle_type() == plain.cycle_type()
+    assert plain.listing is None
+
+
+class TestListings:
+    g = Permutation.from_cycles([(1, 2, 3, 4), (5, 6, 7)], 1, 10)
+
+    @pytest.mark.parametrize("points, lengths", [
+        ([1, 3, 2, 4, 5, 6, 7], [4, 3]),  # two entries of one cycle swapped
+        ([1, 2, 3, 4, 5, 6, 7, 5, 6, 7], [4, 3, 3]),  # a cycle listed twice
+        ([1, 2, 3, 4, 5, 6, 7, 5, 6, 7], [4, 6]),  # a cycle walked twice
+        ([1, 2, 3, 4], [4]),  # a moved point left out
+        ([1, 2, 3, 4, 5, 6, 7, 8], [4, 3, 1]),  # a fixed point listed
+        ([1, 2, 3, 4, 5, 6, 7], [4, 2]),  # lengths that miss a point
+        ([1, 2, 3, 4, 5, 6, 7], [7]),  # two cycles listed as one
+        ([1, 2, 3, 4, 5, 6, 7, 11], [4, 4]),  # a point off the domain
+        ([1.0, 2.0], [2]),  # points that are not integers
+        (range(1, 8), [7]),  # consecutive points that are not one cycle
+        (range(2, 9), [4, 3]),
+    ])
+    def test_a_wrong_listing_is_refused(self, points, lengths):
+        with pytest.raises(InternalInvariantViolation):
+            self.g.listed(points, lengths)
+
+    def test_a_listing_checked_against_another_window_is_refused(self):
+        h = Permutation.from_cycles([(1, 2, 3, 4), (5, 7, 6)], 1, 10)
+        with pytest.raises(InternalInvariantViolation):
+            h.listed(*_listing(self.g))
+        wider = Permutation.from_cycles([(1, 2, 3, 4), (5, 6, 7)], 1, 100)
+        with pytest.raises(InternalInvariantViolation):
+            wider.listed(*_listing(Permutation.from_cycles(
+                [(1, 2, 3, 4), (5, 6, 7), (70, 71)], 1, 100)))
+
+    def test_a_listing_travels_with_its_powers(self):
+        x = self.g.listed([3, 4, 1, 2, 6, 7, 5], [4, 3])  # any start
+        assert x == self.g and x.listing.order == 12
+        assert self.g.listing is None  # listing a permutation copies it
+        b = x ** 5
+        assert b.listing is x.listing and b.exponent == 5
+        assert (b ** 7).exponent == 11 and (b ** -1).exponent == 7
+        assert (b ** 12).is_identity() and x.power_from(b, "10").exponent == 10
+        same = self.g.listed(range(1, 8), [4, 3])  # consecutive: not stored
+        assert same.listing.points is None and same ** 5 == b
+        assert same.win is same.win  # and the window is kept
+        # a stored listing replaces the window, made from it on each read
+        assert x.win is not x.win and x.win.tolist() == self.g.win.tolist()
+        assert not x.win.flags.writeable
+
+    def test_a_listing_of_the_identity(self):
+        ident = Permutation.identity(-3, 3).listed([], [])
+        assert ident.listing.order == 1 and (ident ** 5).is_identity()
+        assert ident.cycle_minima().size == 0
+
+
+@st.composite
+def _listed_pair(draw):
+    """A permutation listed with its cycles, in any order and from any
+    point, and an unlisted copy of it."""
+    lo = draw(st.integers(-6, 6))
+    plain = Permutation(draw(_windowed(draw(st.integers(1, 300)))) + lo, lo)
+    cycles = draw(st.permutations(plain.cycles()))
+    turns = [draw(st.integers(0, len(c) - 1)) for c in cycles]
+    points = [x for c, k in zip(cycles, turns) for x in c[k:] + c[:k]]
+    return plain.listed(points, [len(c) for c in cycles]), plain
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None)
+@given(_listed_pair(), st.integers(-10**18, 10**18), st.integers(2, 40),
+       st.text(alphabet="01", max_size=8))
+def test_rotation_agrees_with_binary_powering(pair, e, f, bits):
+    """x^e, x^e from x^f by the digits `bits`, and (x^f)^e of a listed x
+    against an unlisted copy, at e, 0, +-1 and multiples of each cycle
+    length and of the order, one off and on."""
+    x, plain = pair
+    lengths = {n for _, n in x.listing.bounds} | {x.listing.order}
+    exps = {e, 0, 1, -1} | {k * n + d for n in lengths
+                            for k in (1, -2) for d in (-1, 0, 1)}
+    for k in exps:
+        assert_same_power(x ** k, plain ** k)
+    assert_same_power(x.power_from(x ** f, bits),
+                      plain.power_from(plain ** f, bits))
+    assert_same_power((x ** f) ** e, plain ** (f * e))
+    assert np.array_equal(x.cycle_minima(), plain.cycle_minima())
+
+
+def test_split_rotation_agrees_with_binary_powering():
+    """The property above with every scatter and gather split among three
+    threads, in chunks of at most five points."""
+    with split_from(0, 3), mock.patch.object(perm, "_PIECE", 5):
+        test_rotation_agrees_with_binary_powering()
+        assert perm._pool is not None

@@ -381,6 +381,20 @@ class TestRelatorStream:
         assert entries == _kept_entries(pres)
         assert not all(e["identity"] for e in entries)
 
+    def test_a_listing_travels_with_its_image(self):
+        """With g's image replaced by a's at a degree where both are
+        listed, g's powers rotate a's listing, and the entries are those of
+        unlisted copies of the same images."""
+        pres = glued(8190, "Sym")
+        assert pres.images["a"].listing is not None
+        pres.images = dict(pres.images, g=pres.images["a"])
+        plain = glued(8190, "Sym")
+        plain.images = {t: Permutation(x.images + x.lo, x.lo)
+                        for t, x in pres.images.items()}
+        entries = check_relators(pres).relators
+        assert entries == _kept_entries(plain)
+        assert not all(e["identity"] for e in entries)
+
     @pytest.mark.parametrize("n,kind", [(100003, "Sym"), (200001, "Sym"),
                                         (200002, "Alt"), (400001, "Alt")])
     def test_live_set_stays_within_ten_arrays(self, n, kind, monkeypatch):

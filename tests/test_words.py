@@ -214,9 +214,15 @@ class TestText:
             parse_word("(a")
         with pytest.raises(MalformedText):
             parse_word("a )")
+        zero = "a factor's exponent is never 0"
         for text, message in (("a $", "cannot tokenize ' $'"),
                               ("()", "empty parentheses"),
-                              ("a )", "unexpected token ')'")):
+                              ("a )", "unexpected token ')'"),
+                              ("", "no word: the empty word is written 1"),
+                              (" ", "no word: the empty word is written 1"),
+                              ("a^0 a", f"exponent 0 at position 2: {zero}"),
+                              ("[a^0,a]", f"exponent 0 at position 3: {zero}"),
+                              ("(a b)^-0", f"exponent -0 at position 5: {zero}")):
             with pytest.raises(MalformedText, match=f"^{re.escape(message)}$"):
                 parse_word(text)
 
@@ -267,6 +273,14 @@ class TestSlp:
         ("generators: a a\n", "symbol 'a' bound twice"),
         ("generators: a\nb := a\nb := a\n", "symbol 'b' bound twice"),
         ("generators: a\na := a^2\n", "symbol 'a' bound twice"),
+        # to_text writes the empty word as 1 and never an exponent 0
+        ("generators: a\nx := \nrelator: x\n",
+         "no word: the empty word is written 1"),
+        ("generators: a\nrelator:\n", "no word: the empty word is written 1"),
+        ("generators: a\nrelator: a^0 a\n",
+         "exponent 0 at position 2: a factor's exponent is never 0"),
+        ("generators: a\nx := [a^0,a]\n",
+         "exponent 0 at position 3: a factor's exponent is never 0"),
     ])
     def test_from_text_refuses_text_that_is_not_an_slp(self, text, message):
         with pytest.raises(MalformedText, match=f"^{re.escape(message)}$"):
